@@ -319,8 +319,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
             wal_dir=wal, lake_dir=f"{lake}_{i}", num_partitions=64,
             max_segments_per_batch=64,
             staging_root=staging_root,
-            # extractor pool size defaults to cpus-4 (see cdc.py) — the
-            # read/decode stage needs the remaining CPUs
         )
         dt, rep, steal_pct = _timed(lambda: run_ingest(cfg))
         cdc_legs.append({"sec": round(dt, 3), "steal_pct": round(steal_pct, 2)})

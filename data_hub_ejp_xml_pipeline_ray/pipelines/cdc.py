@@ -6,10 +6,11 @@ stage -> load -> advance watermark; traced in SURVEY §3): the per-file
 sequential Python loop becomes a streaming Dataset pipeline —
 
     read_parquet(segments > watermark)            # schema-unified tail
-      -> map_batches(ExtractCombineSpill, actors)  # FUSED map side: stateful
-               #  HTML->text extract (drops html) + local LWW combine (skew
-               #  defense) + crc32(url) % P split + per-partition row-group
-               #  spill == push-based shuffle to storage
+      -> map_batches(ExtractCombineSpill, tasks)   # FUSED map side:
+               #  conform/purge/exclude/quarantine + local LWW combine
+               #  (skew defense) + HTML->text extract (drops html) +
+               #  crc32(url) % P split + per-partition row-group spill
+               #  == push-based shuffle to storage
       -> per-partition PartitionMerger tasks       # reduce side: base + deltas
                #  -> LWW -> immutable content-addressed partition file
       -> driver: atomic manifest commit            # exactly-once
@@ -77,9 +78,6 @@ class CdcConfig:
     #: Max segments folded into one commit (micro-batch bound — the
     #: analog of ``batch_size_limit=100000`` rows, ``etl.py:156``).
     max_segments_per_batch: int = 64
-    #: None = whole block per actor call (blocks are already sized by
-    #: the read); set a row count only for very large binary payloads.
-    extract_batch_size: int | None = None
     #: Where exchange spill files live. Default: ``<lake>/_staging``.
     #: On a multi-node cluster this is each node's local NVMe (or the
     #: shared store); single-node benchmarks may point it at /dev/shm —
@@ -87,9 +85,6 @@ class CdcConfig:
     #: because one virtio disk can't stand in for N nodes' aggregate
     #: shuffle bandwidth.
     staging_root: str | None = None
-    #: Actor-pool size for the extractor; None = autoscale to the cluster.
-    extract_concurrency: Any = None
-    read_override_num_blocks: int | None = None
     #: Dead-letter quarantine of malformed wire rows (invalid UTF-8
     #: html / null contract keys) into ``<lake>/_errors``. Disable for
     #: trusted input to skip the per-batch UTF-8 validation cast.
@@ -121,17 +116,6 @@ class CdcConfig:
     #: over a partition with pending deltas folds them in (auto-
     #: compaction for the partitions it touches).
     merge_mode: str = "cow"
-    #: Micro-batches below this many events skip the extractor ACTOR
-    #: pool and run the same fused stage on an ordinary task pool:
-    #: stage construction is ~free (measured 0.03 ms — the state is a
-    #: compiled regex and path strings), while the actor wave +
-    #: per-commit Dataset launch cost ~2 s of fixed wall. At trickle
-    #: cadence that fixed cost IS the commit latency; above the
-    #: threshold, actor reuse across blocks wins. Phase 2 merges are
-    #: likewise grouped (several tiny per-partition merges per task)
-    #: below this bound, and ungrouped above it so one straggler
-    #: partition can't serialize its group.
-    small_batch_events: int = 400_000
     #: Multi-WAL fan-in: a stable name for THIS config's WAL among
     #: several feeding the same lake (shards, regions, independent
     #: producers). Each named source advances its own strictly-greater
@@ -179,18 +163,6 @@ def lake_schema_from_wire(wire: pa.Schema) -> pa.Schema:
     fields.append(pa.field("_src_segment", pa.string()))  # provenance (M2)
     fields.append(pa.field(DELETED_COL, pa.bool_()))
     return pa.schema(fields)
-
-
-def _default_extract_concurrency() -> int:
-    """Extractor pool size: all CPUs minus headroom for the read/decode
-    tasks (a pool EQUAL to the cpu count deadlocks the read). The fused
-    map stage carries ~95% of the compute, so it gets most of the node:
-    measured at 8M events/32 CPUs, pool=28 runs phase 1 in 8.0 s vs
-    17.8 s for pool=8. (An earlier cpus//4 default predates the arrow
-    threadpool pinning — unpinned pools thrashed, which made small
-    pools look faster.)"""
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(2, cpus - 4)
 
 
 #: Staging dirs older than this are crash leftovers, safe to sweep; a
@@ -257,31 +229,25 @@ def _ingest_one_batch(
     )
 
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    # blocks >> pool size for load balance, but bounded: per-task
-    # dispatch overhead is the non-scaling term on the driver
     events_applied = wal_source.segment_row_counts(segments)
-    small_batch = events_applied < cfg.small_batch_events
     # block count ALIGNED to the segment count when that already gives
     # enough parallelism: whole-file read tasks beat Ray's partial-file
     # splits (measured at 1.2M/64 segments/32 CPUs: 64 blocks 4.8 s vs
-    # 96 blocks 6.0 s — the 96 shape re-reads row groups across tasks)
+    # 96 blocks 6.0 s — the 96 shape re-reads row groups across tasks);
+    # capped at ~15k rows per task, so a trickle commit doesn't pay 96
+    # read tasks (and 96 spill files) for 150k rows
     n_segs = len(segments)
-    blocks = cfg.read_override_num_blocks or (
-        n_segs if n_segs >= cpus else min(max(cpus * 3, 16), 256)
+    blocks = min(
+        n_segs if n_segs >= cpus else min(max(cpus * 3, 16), 256),
+        max(8, events_applied // 15_000),
     )
-    if small_batch and cfg.read_override_num_blocks is None:
-        # a trickle commit doesn't need 96 read tasks for 150k rows —
-        # fewer blocks = fewer spill files + fewer dispatches, and the
-        # extract still saturates the node at ~15k rows per task
-        blocks = min(blocks, max(8, events_applied // 15_000))
     ds = wal_source.read_segments(
         segments, wire, override_num_blocks=blocks, conform=False,
         include_paths=True,
     )
-    concurrency = cfg.extract_concurrency or _default_extract_concurrency()
 
     # --- Exchange phase 1 (map side): extract + combine + spill, FUSED
-    # into one actor stage (stages/merge.ExtractCombineSpill) — a
+    # into one task stage (stages/merge.ExtractCombineSpill) — a
     # push-based shuffle to storage instead of Ray's sort exchange
     # (which degenerates on a low-cardinality partition key), and the
     # extracted text never re-enters the object store. The take_all()
@@ -331,32 +297,20 @@ def _ingest_one_batch(
         # not resurrect a purged key (maintenance.purge_urls)
         "purged_urls": sorted(list_purged(cfg.lake_dir)) or None,
     }
-    if small_batch:
-        # trickle commit: same fused stage on a TASK pool — construction
-        # is ~free, so skipping the actor wave removes most of the
-        # per-commit fixed wall (see CdcConfig.small_batch_events)
-        _cls, _kw = spill_cls, stage_kwargs
 
-        def spill_task(batch: pa.Table) -> pa.Table:
-            return _cls(**_kw)(batch)
+    # The stage is constructed per batch: its state is a regex string,
+    # a purge value set and paths (~0.03 ms), so plain tasks skip an
+    # actor pool's per-commit start-up and teardown.
+    def spill_task(batch: pa.Table) -> pa.Table:
+        return spill_cls(**stage_kwargs)(batch)
 
-        spilled = ds.map_batches(
-            spill_task,
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-            zero_copy_batch=True,
-            num_cpus=1,
-        ).take_all()
-    else:
-        spilled = ds.map_batches(
-            spill_cls,
-            fn_constructor_kwargs=stage_kwargs,
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-            zero_copy_batch=True,
-            concurrency=concurrency,
-            num_cpus=1,
-        ).take_all()
+    spilled = ds.map_batches(
+        spill_task,
+        batch_format="pyarrow",
+        batch_size=None,  # whole read block per call
+        zero_copy_batch=True,
+        num_cpus=1,
+    ).take_all()
     phase1_s = _time.perf_counter() - t0
     if trace:
         print(f"[cdc-trace] phase1 {phase1_s:.2f}s", flush=True)
@@ -397,18 +351,13 @@ def _ingest_one_batch(
         def merge_partitions(m, parts: list) -> list:
             return [m.merge_one(p) for p in parts]
 
-        if small_batch and len(touched_parts) > cpus:
-            # trickle commit: each per-partition merge is a tiny delta
-            # write, so per-task dispatch dominates — group several
-            # partitions per task (big batches stay one-per-task so a
-            # straggler partition can't serialize its groupmates)
-            group_size = -(-len(touched_parts) // cpus)
-            groups = [
-                touched_parts[i : i + group_size]
-                for i in range(0, len(touched_parts), group_size)
-            ]
-        else:
-            groups = [[p] for p in touched_parts]
+        # at most `cpus` tasks: a per-partition merge of a small batch
+        # is a tiny delta write, so per-task dispatch would dominate
+        group_size = -(-len(touched_parts) // cpus)
+        groups = [
+            touched_parts[i : i + group_size]
+            for i in range(0, len(touched_parts), group_size)
+        ]
         stats = [
             s
             for chunk in ray.get(

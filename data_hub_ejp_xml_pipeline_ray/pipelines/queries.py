@@ -3007,9 +3007,6 @@ def _run_derived_cdc(sf_dir: str, tag: str, *, entity: bool, **cfg_kw) -> pa.Tab
         os.path.join(sf_dir, "events.parquet"), os.path.join(work, "wal"),
         n_segments=8, entity_html=entity,
     )
-    # extract_concurrency=None -> autoscaling pool sized to the session
-    # (a FIXED pool equal to the CPU count would reserve every CPU and
-    # starve the read stage -> deadlock; see cdc._default_extract_concurrency)
     cfg = CdcConfig(wal_dir=os.path.join(work, "wal"),
                     lake_dir=os.path.join(work, "lake"),
                     num_partitions=16, **cfg_kw)

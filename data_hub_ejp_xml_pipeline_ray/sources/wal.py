@@ -22,7 +22,6 @@ from __future__ import annotations
 import fnmatch
 import os
 import re
-import time
 from dataclasses import dataclass
 
 import pyarrow as pa
@@ -95,23 +94,6 @@ def segments_after(
     if watermark is None:
         return list(segments)
     return [s for s in segments if s.name > watermark]
-
-
-def poll_for_new_segments(
-    wal_dir: str,
-    watermark: str | None,
-    timeout_s: float = 120.0,
-    interval_s: float = 1.0,
-    pattern: str = SEGMENT_GLOB,
-) -> list[SegmentMeta]:
-    """Sensor analog (reference ``S3NewKeyFromLastDataDownloadDateSensor``):
-    poll until at least one new segment appears or the timeout lapses."""
-    deadline = time.monotonic() + timeout_s
-    while True:
-        fresh = segments_after(list_segments(wal_dir, pattern), watermark)
-        if fresh or time.monotonic() >= deadline:
-            return fresh
-        time.sleep(interval_s)
 
 
 def wal_gc(

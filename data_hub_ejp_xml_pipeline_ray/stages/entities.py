@@ -17,7 +17,7 @@ plus a nested single-table form (:func:`extract_page_records`) where
 links/headings are Arrow ``list<struct>`` columns — the reference's
 row-with-nested-lists shape mapped to Arrow types (SURVEY §1.4).
 
-Extraction state (compiled regexes) is built once per actor.
+The patterns are compiled once per process.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from ..functions.text import (
     strip_markup_array,
     unescape_array,
 )
+from .merge import ExtractCombineSpill
 
 _TITLE_PAT = r"(?is)<title[^>]*>(.*?)</title\s*>"
 _LINK_PAT = r"""(?is)<a\b[^>]*?href\s*=\s*(?:"([^"]*)"|'([^']*)')[^>]*>(.*?)</a\s*>"""
@@ -355,101 +356,21 @@ def _entity_lake_rows(batch: pa.Table) -> pa.Table:
     return pa.concat_tables(parts)
 
 
-class EntityExtractCombineSpill:
-    """Fused map side for the ENTITY lake: conform wire batch ->
-    event-level local LWW -> parse each winning event's html into
+class EntityExtractCombineSpill(ExtractCombineSpill):
+    """Fused map side for the ENTITY lake: the shared prelude (through
+    event-level local LWW), then each winning event's html parsed into
     entity rows (page/link/heading) stamped with the event's
-    ``(warc_ts, seq)`` version -> partition split -> row-group spill.
+    ``(warc_ts, seq)`` version, then partition split + row-group spill.
 
     Delete events emit one tombstone row so the merge can retire a
     url's previous entity rows (group-valued LWW keeps ALL rows of the
-    winning version; a tombstone IS that version's only row).
+    winning version; a tombstone IS that version's only row). The
+    spill takes no second row-level LWW — it would collapse the
+    multi-row versions.
     """
 
-    def __init__(self, staging_dir: str, num_partitions: int,
-                 url_exclusion_pattern: str | None = None,
-                 wire_schema: pa.Schema | None = None,
-                 splits: frozenset[tuple[int, int]] | None = None,
-                 errors_dir: str | None = None,
-                 constraints: list | None = None,
-                 purged_urls: list | None = None):
-        from .merge import SpillCombiner, purged_value_set
-
-        import pyarrow as _pa
-
-        _pa.set_cpu_count(1)
-        _pa.set_io_thread_count(2)
-        self._spill = SpillCombiner(staging_dir, num_partitions, splits)
-        self._exclusion = url_exclusion_pattern
-        self._wire_schema = wire_schema
-        self._errors_dir = errors_dir
-        self._constraints = constraints
-        self._purged = purged_value_set(purged_urls)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        from .merge import filter_purged, local_lww
-
-        if "path" in batch.column_names:
-            src_col = pc.replace_substring_regex(
-                batch.column("path"), pattern=".*/", replacement=""
-            )
-            batch = batch.drop_columns(["path"]).append_column("_src_segment", src_col)
-        batch = filter_purged(batch, self._purged)
-        if self._exclusion is not None:
-            mask = pc.invert(
-                pc.match_substring_regex(
-                    batch.column("url"), "^(?:" + self._exclusion + ")"
-                )
-            )
-            batch = batch.filter(mask)
-        err_manifest = None
-        if self._errors_dir is not None and batch.num_rows:
-            from .merge import ERROR_PART, quarantine_bad_rows, write_dead_letters
-
-            batch, err, raw = quarantine_bad_rows(batch)
-            if err is not None:
-                path = write_dead_letters(self._errors_dir, err, raw)
-                err_manifest = pa.table(
-                    {"part": pa.array([ERROR_PART], pa.int64()),
-                     "rows": pa.array([err.num_rows], pa.int64()),
-                     "path": pa.array([path], pa.string()),
-                     "row_group": pa.array([-1], pa.int64())}
-                )
-            if self._constraints:
-                from .merge import check_constraints
-
-                batch, cerr, craw = check_constraints(batch, self._constraints)
-                if cerr is not None:
-                    cpath = write_dead_letters(self._errors_dir, cerr, craw)
-                    cman = pa.table(
-                        {"part": pa.array([ERROR_PART], pa.int64()),
-                         "rows": pa.array([cerr.num_rows], pa.int64()),
-                         "path": pa.array([cpath], pa.string()),
-                         "row_group": pa.array([-1], pa.int64())}
-                    )
-                    err_manifest = (
-                        pa.concat_tables([err_manifest, cman])
-                        if err_manifest is not None else cman
-                    )
-        if batch.num_rows == 0:
-            empty = pa.table(
-                {"part": pa.array([], pa.int64()),
-                 "rows": pa.array([], pa.int64()),
-                 "path": pa.array([], pa.string()),
-                 "row_group": pa.array([], pa.int64())}
-            )
-            return pa.concat_tables([empty, err_manifest]) if err_manifest else empty
-        batch = local_lww(batch)  # event-level combiner: winners only
-        out = _entity_lake_rows(batch)
-        # the spill's own local_lww would collapse multi-row versions —
-        # rows here are already event-winners, so spill WITHOUT another
-        # row-level reduce: route through the partition splitter only
-        spilled = self._spill.split_and_spill(out)
-        return (
-            pa.concat_tables([spilled, err_manifest]) if err_manifest else spilled
-        )
+    def rows(self, winners: pa.Table) -> pa.Table:
+        return _entity_lake_rows(winners)
 
 
 def entity_lake_schema(_wire: pa.Schema) -> pa.Schema:
@@ -552,89 +473,19 @@ def _nested_lake_rows(
     return pa.concat_tables(parts)
 
 
-class NestedExtractCombineSpill:
-    """Fused map side for the NESTED lake: conform -> event-level local
-    LWW -> parse each winner into ONE row with ``list<struct>`` entity
-    columns -> partition split -> spill. Row-valued LWW merges it (one
-    row per url), so the nested columns ride the normal merge path —
-    including schema evolution when ``struct_version=2`` adds ``rel``
-    inside the link struct."""
+class NestedExtractCombineSpill(ExtractCombineSpill):
+    """Fused map side for the NESTED lake: the shared prelude (through
+    event-level local LWW), then each winner parsed into ONE row with
+    ``list<struct>`` entity columns, then partition split + spill.
+    Row-valued LWW merges it (one row per url), so the nested columns
+    ride the normal merge path — including schema evolution when
+    ``struct_version=2`` adds ``rel`` inside the link struct."""
 
     struct_version = 1
 
-    def __init__(self, staging_dir: str, num_partitions: int,
-                 url_exclusion_pattern: str | None = None,
-                 wire_schema: pa.Schema | None = None,
-                 splits: frozenset[tuple[int, int]] | None = None,
-                 errors_dir: str | None = None,
-                 constraints: list | None = None,
-                 purged_urls: list | None = None):
-        from .merge import SpillCombiner, purged_value_set
-
-        import pyarrow as _pa
-
-        _pa.set_cpu_count(1)
-        _pa.set_io_thread_count(2)
-        self._spill = SpillCombiner(staging_dir, num_partitions, splits)
-        self._errors_dir = errors_dir
-        self._constraints = constraints
-        self._purged = purged_value_set(purged_urls)
-        self._schema = nested_lake_schema(self.struct_version)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        from .merge import (
-            ERROR_PART, filter_purged, local_lww, quarantine_bad_rows,
-            write_dead_letters,
-        )
-
-        if "path" in batch.column_names:
-            src_col = pc.replace_substring_regex(
-                batch.column("path"), pattern=".*/", replacement=""
-            )
-            batch = batch.drop_columns(["path"]).append_column("_src_segment", src_col)
-        batch = filter_purged(batch, self._purged)
-        err_manifest = None
-        if self._errors_dir is not None and batch.num_rows:
-            batch, err, raw = quarantine_bad_rows(batch)
-            if err is not None:
-                path = write_dead_letters(self._errors_dir, err, raw)
-                err_manifest = pa.table(
-                    {"part": pa.array([ERROR_PART], pa.int64()),
-                     "rows": pa.array([err.num_rows], pa.int64()),
-                     "path": pa.array([path], pa.string()),
-                     "row_group": pa.array([-1], pa.int64())}
-                )
-            if self._constraints:
-                from .merge import check_constraints
-
-                batch, cerr, craw = check_constraints(batch, self._constraints)
-                if cerr is not None:
-                    cpath = write_dead_letters(self._errors_dir, cerr, craw)
-                    cman = pa.table(
-                        {"part": pa.array([ERROR_PART], pa.int64()),
-                         "rows": pa.array([cerr.num_rows], pa.int64()),
-                         "path": pa.array([cpath], pa.string()),
-                         "row_group": pa.array([-1], pa.int64())}
-                    )
-                    err_manifest = (
-                        pa.concat_tables([err_manifest, cman])
-                        if err_manifest is not None else cman
-                    )
-        empty = pa.table(
-            {"part": pa.array([], pa.int64()),
-             "rows": pa.array([], pa.int64()),
-             "path": pa.array([], pa.string()),
-             "row_group": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return pa.concat_tables([empty, err_manifest]) if err_manifest else empty
-        batch = local_lww(batch)
-        out = _nested_lake_rows(batch, self._schema, self.struct_version)
-        spilled = self._spill.split_and_spill(out)
-        return (
-            pa.concat_tables([spilled, err_manifest]) if err_manifest else spilled
+    def rows(self, winners: pa.Table) -> pa.Table:
+        return _nested_lake_rows(
+            winners, nested_lake_schema(self.struct_version), self.struct_version
         )
 
 

@@ -123,26 +123,7 @@ def quarantine_bad_rows(
     reasons = np.where(
         null_key_np[bad_any], "null_key_field", "invalid_utf8_html"
     )
-    err = pa.table(
-        {
-            "url": bad.column("url").cast(pa.string()),
-            "warc_ts": bad.column("warc_ts"),
-            "seq": bad.column("seq"),
-            "error": pa.array(reasons.tolist(), pa.string()),
-            "_src_segment": (
-                bad.column("_src_segment")
-                if "_src_segment" in bad.column_names
-                else pa.nulls(bad.num_rows, pa.string())
-            ),
-            "html": (
-                bad.column("html").cast(pa.binary())
-                if "html" in bad.column_names
-                else pa.nulls(bad.num_rows, pa.binary())
-            ),
-        },
-        schema=ERRORS_SCHEMA,
-    )
-    return good, err, raw
+    return good, _dead_letter_table(bad, reasons.tolist()), raw
 
 
 #: Supported CHECK-constraint operators (declarative ingest-time
@@ -527,6 +508,16 @@ def read_effective_partition(
     return conform_table(merged, schema)
 
 
+def _spill_manifest(part, rows, path, row_group) -> pa.Table:
+    """Spill-manifest rows: the only data the map side returns."""
+    return pa.table(
+        {"part": pa.array(part, pa.int64()),
+         "rows": pa.array(rows, pa.int64()),
+         "path": pa.array(path, pa.string()),
+         "row_group": pa.array(row_group, pa.int64())}
+    )
+
+
 class SpillCombiner:
     """Map-side exchange stage (replaces an all-to-all shuffle operator).
 
@@ -564,12 +555,7 @@ class SpillCombiner:
 
         if batch.num_rows == 0:
             # empty input block: nothing to spill, no manifest rows
-            return pa.table(
-                {"part": pa.array([], pa.int64()),
-                 "rows": pa.array([], pa.int64()),
-                 "path": pa.array([], pa.string()),
-                 "row_group": pa.array([], pa.int64())}
-            )
+            return _spill_manifest([], [], [], [])
         batch = add_partition_column(batch, self._num_partitions, self._splits)
         # One spill FILE per block, one ROW GROUP per partition inside it
         # — the reduce side reads only its own row groups, and the file
@@ -602,13 +588,8 @@ class SpillCombiner:
         # legs): on /dev/shm (memory) compression is pure codec CPU —
         # uncompressed 3.18 s vs snappy 3.94 s headline (-19%); on disk
         # the 3-4x byte inflation costs more than the codec, so snappy
-        # stays. GRAFT_SPILL_CODEC overrides either way.
-        codec = os.environ.get("GRAFT_SPILL_CODEC")
-        if codec is None:
-            codec = (
-                "NONE" if self._staging.startswith("/dev/shm")
-                else "snappy"
-            )
+        # stays.
+        codec = "NONE" if self._staging.startswith("/dev/shm") else "snappy"
         with pq.ParquetWriter(tmp, batch.schema, compression=codec) as writer:
             for rg, (s, e) in enumerate(zip(starts, ends)):
                 sub = batch.slice(s, e - s)
@@ -617,12 +598,7 @@ class SpillCombiner:
                 out_rows.append(e - s)
                 out_rg.append(rg)
         os.replace(tmp, path)
-        return pa.table(
-            {"part": pa.array(out_part, pa.int64()),
-             "rows": pa.array(out_rows, pa.int64()),
-             "path": pa.array([path] * len(out_part), pa.string()),
-             "row_group": pa.array(out_rg, pa.int64())}
-        )
+        return _spill_manifest(out_part, out_rows, [path] * len(out_part), out_rg)
 
 
 def filter_purged(batch: pa.Table, value_set: "pa.Array | None") -> pa.Table:
@@ -642,20 +618,31 @@ def filter_purged(batch: pa.Table, value_set: "pa.Array | None") -> pa.Table:
 
 def purged_value_set(purged_urls) -> "pa.Array | None":
     """Constructor-side prep: the purge list as an Arrow value_set,
-    built ONCE per actor (the list ships in fn_constructor_kwargs)."""
+    built once per stage construction."""
     if not purged_urls:
         return None
     return pa.array(sorted(set(purged_urls)), pa.string())
 
 
 class ExtractCombineSpill:
-    """Fused map-side stage: HTML->text extraction + local LWW combine +
-    partition split + row-group spill in ONE actor call, so the
-    extracted text payload never crosses the object store between
-    stages (extract emits only tiny spill-manifest rows downstream).
-    This fusion halves the exchange's object-store traffic; the
-    unfused stages remain available for pipelines that need the
-    intermediate Dataset.
+    """Fused map-side stage of the PAGE lake, and the base of the entity
+    and nested lanes (``stages.entities``). One call per input block:
+
+    1. the shared prelude — stamp ``_src_segment`` provenance, conform
+       to the unified wire schema, drop purged urls, drop urls matching
+       the exclusion pattern, quarantine malformed rows and CHECK
+       violations to ``_errors``, then local LWW (the combiner);
+    2. :meth:`rows`, the lane's row transform of the block's winners
+       (here: HTML -> ``text``, ``html`` dropped);
+    3. partition split + row-group spill (:class:`SpillCombiner`).
+
+    Only tiny spill-manifest rows leave the stage, so the extracted
+    payload never crosses the object store. Exclusion runs before
+    quarantine, like the reference's filter-before-parse
+    (``ejp_zip.py:61-63``): an excluded row reaches neither the lake
+    nor ``_errors``. ``local_lww`` runs before the row transform — the
+    transform is row-wise, so the spilled rows are the same either way,
+    and the lane parses only winning events.
     """
 
     def __init__(self, staging_dir: str, num_partitions: int,
@@ -665,19 +652,18 @@ class ExtractCombineSpill:
                  errors_dir: str | None = None,
                  constraints: list | None = None,
                  purged_urls: list | None = None):
-        from .extract import HtmlTextExtractor
-
-        # Each actor is scheduled as 1 CPU, but pyarrow's internal
-        # thread pool defaults to the MACHINE cpu count — N actors x
+        # One stage runs per 1-CPU Ray task, but pyarrow's internal
+        # thread pool defaults to the MACHINE cpu count — N tasks x
         # 32 arrow threads thrash the node (measured 13x slowdown of
         # the per-batch UDF under a 12-actor pool). Pin arrow to the
-        # actor's own CPU budget.
+        # task's own CPU budget.
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
-        self._extract = HtmlTextExtractor(
-            url_exclusion_pattern=url_exclusion_pattern
-        )
         self._spill = SpillCombiner(staging_dir, num_partitions, splits)
+        # re.match semantics: match_substring_regex is an unanchored search
+        self._exclusion = (
+            "^(?:" + url_exclusion_pattern + ")" if url_exclusion_pattern else None
+        )
         #: when set, batches are conformed to this schema first (the
         #: schema-evolution read edge fused in, so mixed v1/v2 blocks
         #: need no separate conform operator); provenance column added
@@ -689,53 +675,51 @@ class ExtractCombineSpill:
         self._constraints = constraints
         self._purged = purged_value_set(purged_urls)
 
+    def rows(self, winners: pa.Table) -> pa.Table:
+        """Page lane: the byte-identical text invariant of
+        :mod:`..functions.text`, a pure function of the html bytes (no
+        clock), so retries and replays produce identical text. The raw
+        payload is dropped right after — nothing downstream needs it."""
+        from ..functions.text import extract_text_column
+
+        text = extract_text_column(winners.column("html"))
+        if isinstance(text, pa.ChunkedArray):
+            text = text.combine_chunks()
+        return winners.append_column("text", text).drop_columns(["html"])
+
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
         if "path" in batch.column_names:
             # provenance: source segment basename rides every record to
             # the lake (the reference stamps source_filename per entity,
             # ejp_zip.py:66-69; the clock stays confined to manifest
             # lineage, never merged columns)
-            src = pa.compute.replace_substring_regex(
+            src = pc.replace_substring_regex(
                 batch.column("path"), pattern=".*/", replacement=""
             )
             batch = batch.drop_columns(["path"]).append_column("_src_segment", src)
         if self._wire_schema is not None and not batch.schema.equals(self._wire_schema):
             batch = conform_table(batch, self._wire_schema)
         batch = filter_purged(batch, self._purged)
-        err_rows: list[pa.Table] = []
-        if self._errors_dir is not None:
-            batch, err, raw = quarantine_bad_rows(batch)
-            if err is not None:
-                path = write_dead_letters(self._errors_dir, err, raw)
-                err_rows.append(pa.table(
-                    {"part": pa.array([ERROR_PART], pa.int64()),
-                     "rows": pa.array([err.num_rows], pa.int64()),
-                     "path": pa.array([path], pa.string()),
-                     "row_group": pa.array([-1], pa.int64())}
-                ))
-            if self._constraints:
-                batch, cerr, craw = check_constraints(batch, self._constraints)
-                if cerr is not None:
-                    path = write_dead_letters(self._errors_dir, cerr, craw)
-                    err_rows.append(pa.table(
-                        {"part": pa.array([ERROR_PART], pa.int64()),
-                         "rows": pa.array([cerr.num_rows], pa.int64()),
-                         "path": pa.array([path], pa.string()),
-                         "row_group": pa.array([-1], pa.int64())}
-                    ))
-        out = self._extract(batch)
-        if out.num_rows == 0:
-            spilled = pa.table(
-                {"part": pa.array([], pa.int64()),
-                 "rows": pa.array([], pa.int64()),
-                 "path": pa.array([], pa.string()),
-                 "row_group": pa.array([], pa.int64())}
+        if self._exclusion is not None:
+            # a null url is not excluded: quarantine names it below
+            hit = pc.fill_null(
+                pc.match_substring_regex(batch.column("url"), self._exclusion),
+                False,
             )
-        else:
-            spilled = self._spill(out)
-        if err_rows:
-            spilled = pa.concat_tables([spilled] + err_rows)
-        return spilled
+            batch = batch.filter(pc.invert(hit))
+        out: list[pa.Table] = []
+        if self._errors_dir is not None:
+            for check in (quarantine_bad_rows,
+                          lambda b: check_constraints(b, self._constraints)):
+                batch, err, raw = check(batch)
+                if err is not None:
+                    path = write_dead_letters(self._errors_dir, err, raw)
+                    out.append(_spill_manifest([ERROR_PART], [err.num_rows], [path], [-1]))
+        if batch.num_rows:
+            out.insert(0, self._spill.split_and_spill(self.rows(local_lww(batch))))
+        return pa.concat_tables(out) if out else _spill_manifest([], [], [], [])
 
 
 class PartitionMerger:

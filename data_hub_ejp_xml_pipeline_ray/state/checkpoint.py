@@ -675,6 +675,10 @@ def writer_lock(
             # re-read after a beat — the write is tiny
             time.sleep(0.05)
             continue
+        if doc.get("owner") == token:
+            # our own create landed but its reply was lost (a retrying
+            # store client re-sent it): the lock is already ours
+            break
         if doc.get("expires_at", 0) >= time.time():
             raise ConcurrentWriterError(
                 f"lake {lake_dir} is locked by {doc.get('owner')} "
@@ -742,34 +746,6 @@ def check_no_live_writer(lake_dir: str) -> None:
             f"lake {lake_dir} has a live writer ({doc.get('owner')}); "
             f"concurrent runs are rejected"
         )
-
-
-def renew_lock(
-    lake_dir: str, token: str, *, lease_seconds: float = DEFAULT_LEASE_SECONDS
-) -> None:
-    """Extend our lease (conditional swap after verifying ownership).
-    Long-running writers renew at batch boundaries so a slow-but-alive
-    run never goes stale mid-flight."""
-    store = resolve_store(lake_dir)
-    path = os.path.join(lake_dir, LOCK_NAME)
-    try:
-        raw = store.get_bytes(path)
-        doc = json.loads(raw)
-    except (FileNotFoundError, json.JSONDecodeError) as e:
-        raise ConcurrentWriterError(
-            f"lock at {lake_dir} is gone or unreadable — lease lost"
-        ) from e
-    if doc.get("owner") != token:
-        raise ConcurrentWriterError(
-            f"lock at {lake_dir} is now held by {doc.get('owner')} — "
-            f"this writer's lease was broken"
-        )
-    store.replace_if_matches(
-        path, raw,
-        json.dumps(
-            {"owner": token, "expires_at": time.time() + lease_seconds}
-        ).encode("utf-8"),
-    )
 
 
 def _same_logical_commit(a: LakeManifest, b: LakeManifest) -> bool:

@@ -14,6 +14,7 @@ object.
 from __future__ import annotations
 
 import os
+import shutil
 import uuid
 
 import pyarrow as pa
@@ -125,25 +126,27 @@ def normalize_path(path: str) -> str:
 
 def copy_file(src: str, dst: str) -> int:
     """Copy one immutable data file (scheme-mixed ok: POSIX<->store);
-    returns bytes copied. Store targets are whole-object PUTs."""
-    if not is_objstore_path(src) and not is_objstore_path(dst):
-        import shutil
-
-        os.makedirs(os.path.dirname(dst) or ".", exist_ok=True)
-        shutil.copyfile(src, dst)
-        return os.path.getsize(dst)
-    if is_objstore_path(src):
-        data = resolve_store(src).get_bytes(src)
-    else:
-        with open(src, "rb") as f:
-            data = f.read()
+    returns bytes copied. Store targets are whole-object PUTs; POSIX
+    targets are written to a tmp name and renamed, so a crash mid-copy
+    never leaves a truncated file at ``dst`` (publish treats an existing
+    ``dst`` as a finished copy)."""
     if is_objstore_path(dst):
+        if is_objstore_path(src):
+            data = resolve_store(src).get_bytes(src)
+        else:
+            with open(src, "rb") as f:
+                data = f.read()
         resolve_store(dst).put_atomic(dst, data)
+        return len(data)
+    os.makedirs(os.path.dirname(dst) or ".", exist_ok=True)
+    tmp = f"{dst}.tmp-{uuid.uuid4().hex[:8]}"
+    if is_objstore_path(src):
+        with open(tmp, "wb") as f:
+            f.write(resolve_store(src).get_bytes(src))
     else:
-        os.makedirs(os.path.dirname(dst) or ".", exist_ok=True)
-        with open(dst, "wb") as f:
-            f.write(data)
-    return len(data)
+        shutil.copyfile(src, tmp)
+    os.replace(tmp, dst)
+    return os.path.getsize(dst)
 
 
 def list_files_sized(dir_path: str) -> list[tuple[str, str, int]]:

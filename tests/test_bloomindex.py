@@ -49,7 +49,7 @@ def lake(tmp_path_factory):
     cfg = CdcConfig(
         wal_dir=os.path.join(tmp, "wal"),
         lake_dir=os.path.join(tmp, "lake"),
-        num_partitions=16, extract_concurrency=2, retain_versions=5,
+        num_partitions=16, retain_versions=5,
     )
     run_ingest(cfg)
     build_bloom_index(cfg.lake_dir, ["warc_ts", "text", "lang"])
@@ -161,7 +161,7 @@ def test_auto_maintain_refreshes_existing_index(lake, tmp_path):
     cfg = CdcConfig(
         wal_dir=os.path.join(tmp, "wal"),
         lake_dir=os.path.join(tmp, "lake"),
-        num_partitions=4, extract_concurrency=2,
+        num_partitions=4,
     )
     run_ingest(cfg)
     acts = auto_maintain(cfg.lake_dir)

@@ -36,7 +36,7 @@ from data_hub_ejp_xml_pipeline_ray.state.checkpoint import (
 
 def _cfg(tmp: str, lake: str) -> CdcConfig:
     return CdcConfig(wal_dir=os.path.join(tmp, "wal"), lake_dir=lake,
-                     num_partitions=8, extract_concurrency=2)
+                     num_partitions=8)
 
 
 def _state(lake_dir: str) -> dict:
@@ -251,6 +251,53 @@ def test_publish_crash_retry_idempotent(tmp_path, monkeypatch):
     assert _state(main) == _expected(wal)
 
 
+def test_publish_retry_after_torn_copy_is_byte_equal(tmp_path, monkeypatch):
+    """A publish that dies PART-WAY through writing a file must not
+    leave a truncated file under the final name: the retry treats an
+    existing target as a finished copy, so the next manifest would
+    reference the torn bytes."""
+    import hashlib
+    import shutil as _shutil
+
+    tmp = str(tmp_path)
+    wal = os.path.join(tmp, "wal")
+    main = os.path.join(tmp, "lake")
+    generate_wal(wal, seed=43, n_urls=30, n_events=250, n_segments=2,
+                 delete_fraction=0.1)
+    run_ingest(_cfg(tmp, main))
+    create_branch(main, "torn")
+    bdir = branch_dir(main, "torn")
+    generate_wal(wal, seed=44, n_urls=30, n_events=200, n_segments=2,
+                 start_segment=2, delete_fraction=0.1)
+    run_ingest(_cfg(tmp, bdir))
+
+    def digests(lake_dir):
+        out = []
+        for rel in load_manifest(lake_dir).all_data_relpaths():
+            with open(os.path.join(lake_dir, rel), "rb") as f:
+                out.append(hashlib.sha1(f.read()).hexdigest())
+        return sorted(out)
+
+    want_files, want_rows = digests(bdir), lake_snapshot(bdir)
+    real_copy = _shutil.copyfile
+
+    def torn_copy(src, dst):
+        with open(src, "rb") as f:
+            data = f.read()
+        with open(dst, "wb") as f:
+            f.write(data[: len(data) // 2])
+        raise RuntimeError("injected crash mid-copy")
+
+    monkeypatch.setattr(_shutil, "copyfile", torn_copy)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        publish_branch(main, "torn")
+    monkeypatch.setattr(_shutil, "copyfile", real_copy)
+    publish_branch(main, "torn")  # retry
+    assert digests(main) == want_files
+    assert lake_snapshot(main).equals(want_rows)
+    assert _state(main) == _expected(wal)
+
+
 def test_branch_compaction_publishes_collision_free(tmp_path):
     """A branch that compacts writes files named ``compact-<branch
     version>`` — names main's own history may already use with
@@ -318,7 +365,7 @@ def test_merge_branch_lww_three_way(tmp_path):
                  delete_fraction=0.15)
     first4 = "segment-0000[0-3].parquet"
     cfg4 = CdcConfig(wal_dir=wal, lake_dir=main, num_partitions=8,
-                     extract_concurrency=2, segment_glob=first4)
+                     segment_glob=first4)
     run_ingest(cfg4)
     fork_v = load_manifest(main).version
     create_branch(main, "side")
@@ -327,7 +374,6 @@ def test_merge_branch_lww_three_way(tmp_path):
     # segment 4 only — true divergence, overlapping on segment 4
     run_ingest(_cfg(tmp, bdir))
     run_ingest(CdcConfig(wal_dir=wal, lake_dir=main, num_partitions=8,
-                         extract_concurrency=2,
                          segment_glob="segment-0000[0-4].parquet"))
     assert load_manifest(main).version > fork_v
     with pytest.raises(RuntimeError, match="main advanced"):

@@ -47,7 +47,7 @@ def _cfgs(tmp, **kw):
     wal = os.path.join(tmp, "wal")
     mk = lambda sub: CdcConfig(  # noqa: E731
         wal_dir=wal, lake_dir=os.path.join(tmp, sub), num_partitions=4,
-        extract_concurrency=2, **kw,
+        **kw,
     )
     return {"pages": mk("pages"), "mirror": mk("mirror")}
 
@@ -163,7 +163,6 @@ def test_watermark_mismatch_refused(tmp_path):
     cfgs = _cfgs(tmp)
     cfgs["mirror"] = CdcConfig(
         wal_dir=wal2, lake_dir=cfgs["mirror"].lake_dir, num_partitions=4,
-        extract_concurrency=2,
     )
     with pytest.raises(RuntimeError, match="different watermarks"):
         run_consistent_ingest(cat, cfgs)

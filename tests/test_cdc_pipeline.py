@@ -52,7 +52,6 @@ def _cfg(tmp, **kw):
         wal_dir=os.path.join(tmp, "wal"),
         lake_dir=os.path.join(tmp, "lake"),
         num_partitions=8,
-        extract_concurrency=2,
     )
     defaults.update(kw)
     return CdcConfig(**defaults)
@@ -312,10 +311,10 @@ def test_schema_evolution_across_batches_matches_single_shot(tmp_path, ray_sessi
     generate_wal(wal, seed=31, n_urls=60, n_events=1500, n_segments=6,
                  v2_from_segment=3)
     inc = CdcConfig(wal_dir=wal, lake_dir=str(tmp_path / "inc"),
-                    num_partitions=4, extract_concurrency=2,
+                    num_partitions=4,
                     max_segments_per_batch=2)
     one = CdcConfig(wal_dir=wal, lake_dir=str(tmp_path / "one"),
-                    num_partitions=4, extract_concurrency=2,
+                    num_partitions=4,
                     max_segments_per_batch=64)
     run_ingest(inc)
     run_ingest(one)

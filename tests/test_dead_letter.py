@@ -8,12 +8,15 @@ from datetime import datetime, timezone
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from data_hub_ejp_xml_pipeline_ray.pipelines.cdc import (
     CdcConfig,
     lake_snapshot,
     read_errors,
+    run_entity_ingest,
     run_ingest,
+    run_nested_ingest,
 )
 from data_hub_ejp_xml_pipeline_ray.schemas import EVENTS_SCHEMA_V1
 from data_hub_ejp_xml_pipeline_ray.sources.synthetic import generate_wal
@@ -43,7 +46,7 @@ def test_corrupt_rows_quarantined_good_rows_merge(tmp_path):
     generate_wal(wal, seed=31, n_urls=20, n_events=100, n_segments=2)
     _corrupt_segment(os.path.join(wal, "segment-00002.parquet"))
     cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_ingest(cfg)
 
     errs = read_errors(cfg.lake_dir)
@@ -81,7 +84,7 @@ def test_clean_ingest_has_no_error_rows(tmp_path):
                  n_segments=2)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_ingest(cfg)
     assert read_errors(cfg.lake_dir).num_rows == 0
     assert "error_rows" not in load_manifest(cfg.lake_dir).counters
@@ -98,7 +101,7 @@ def test_entity_lake_quarantines_corrupt_rows(tmp_path):
                  rich_pages=True)
     _corrupt_segment(os.path.join(wal, "segment-00001.parquet"))
     cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_entity_ingest(cfg)
     errs = read_errors(cfg.lake_dir)
     assert errs.num_rows == 2
@@ -148,7 +151,7 @@ def test_redrive_errors_after_fix_converges_to_clean_lake(tmp_path):
     seg(os.path.join(clean, "wal", "segment-00000.parquet"), good)
     ccfg = CdcConfig(wal_dir=os.path.join(clean, "wal"),
                      lake_dir=os.path.join(clean, "lake"),
-                     num_partitions=4, extract_concurrency=2)
+                     num_partitions=4)
     run_ingest(ccfg)
 
     # corrupt world: latin-1 bytes quarantined
@@ -157,7 +160,7 @@ def test_redrive_errors_after_fix_converges_to_clean_lake(tmp_path):
     seg(os.path.join(tmp, "wal", "segment-00000.parquet"), bad)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_ingest(cfg)
     assert read_errors(cfg.lake_dir).num_rows == 1
     wm_before = load_manifest(cfg.lake_dir).watermark
@@ -222,7 +225,7 @@ def test_redrive_recovers_orphaned_sidecar(tmp_path):
     generate_wal(wal, seed=41, n_urls=10, n_events=50, n_segments=1)
     _corrupt_segment(os.path.join(wal, "segment-00001.parquet"))
     cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_ingest(cfg)
     errors_dir = os.path.join(cfg.lake_dir, "_errors")
     files = sorted(glob.glob(os.path.join(errors_dir, "errors-*")))
@@ -275,7 +278,7 @@ def test_redrive_carries_schema_evolution(tmp_path):
         os.path.join(wal, "segment-00001.parquet"),
     )
     cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_ingest(cfg)
     assert read_errors(cfg.lake_dir).num_rows == 1
 
@@ -335,7 +338,7 @@ def test_redrive_entity_lake_uses_entity_pipeline(tmp_path):
         os.path.join(wal, "segment-00001.parquet"),
     )
     cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_entity_ingest(cfg)
     assert read_errors(cfg.lake_dir).num_rows == 1
 
@@ -384,7 +387,7 @@ def test_redrive_is_serialized_by_its_own_lease(tmp_path):
     generate_wal(wal, seed=59, n_urls=10, n_events=50, n_segments=1)
     _corrupt_segment(os.path.join(wal, "segment-00001.parquet"))
     cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_ingest(cfg)
     with writer_lock(cfg.lake_dir, lock_name=REDRIVE_LOCK_NAME):
         with pytest.raises(ConcurrentWriterError):
@@ -392,3 +395,43 @@ def test_redrive_is_serialized_by_its_own_lease(tmp_path):
     # lease released: the redrive proceeds normally afterwards
     r = redrive_errors(cfg)
     assert r["redriven_rows"] == 2
+
+
+@pytest.mark.parametrize("lane", ["page", "entity", "nested"])
+def test_excluded_urls_reach_neither_lake_nor_errors(tmp_path, lane):
+    """Every lane drops excluded urls BEFORE quarantine (the reference
+    filters names before parsing, ``ejp_zip.py:61-63``): an excluded
+    url lands in neither the lake nor ``_errors``, even when its row is
+    malformed, while a malformed row under a kept url is quarantined."""
+    ingest = {"page": run_ingest, "entity": run_entity_ingest,
+              "nested": run_nested_ingest}[lane]
+    tmp = str(tmp_path)
+    wal = os.path.join(tmp, "wal")
+    generate_wal(wal, seed=35, n_urls=20, n_events=100, n_segments=2)
+    ts = datetime(2025, 6, 1, tzinfo=timezone.utc)
+    rows = {
+        "op": ["update"] * 4,
+        "url": ["https://skip.example/a", "https://skip.example/bad",
+                "https://keep.example/", "https://keep.example/bad"],
+        "warc_ts": [ts] * 4,
+        "seq": [1, 2, 3, 4],
+        "html": [b"<title>skipped</title>", b"\xff\xfe broken \x80",
+                 b"<title>kept</title>", b"\xff\xfe broken \x80"],
+        "lang": ["en"] * 4,
+        "schema_version": [1] * 4,
+        "fetch_status": [200] * 4,
+    }
+    pq.write_table(pa.Table.from_pydict(rows, schema=EVENTS_SCHEMA_V1),
+                   os.path.join(wal, "segment-00002.parquet"))
+    cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
+                    num_partitions=4,
+                    url_exclusion_pattern=r"https://skip\.example/")
+    report = ingest(cfg)
+
+    lake_urls = set(lake_snapshot(cfg.lake_dir).column("url").to_pylist())
+    assert "https://keep.example/" in lake_urls
+    assert not any(u.startswith("https://skip.") for u in lake_urls)
+    assert read_errors(cfg.lake_dir).column("url").to_pylist() == [
+        "https://keep.example/bad"
+    ]
+    assert report.error_rows == 1

@@ -78,7 +78,6 @@ def _cfg(tmp, **kw):
         wal_dir=os.path.join(tmp, "wal"),
         lake_dir=os.path.join(tmp, "lake"),
         num_partitions=8,
-        extract_concurrency=2,
         retain_versions=10,
     )
     defaults.update(kw)

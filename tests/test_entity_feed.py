@@ -102,7 +102,6 @@ def elake(tmp_path):
         wal_dir=os.path.join(tmp, "wal"),
         lake_dir=os.path.join(tmp, "lake"),
         num_partitions=8,
-        extract_concurrency=2,
         max_segments_per_batch=4,  # -> v1, v2
     )
     run_entity_ingest(cfg)

@@ -53,7 +53,7 @@ def test_entity_ingest_matches_replay_oracle(tmp_path):
                  n_segments=6, delete_fraction=0.1, tie_fraction=0.1)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "entity_lake"),
-                    num_partitions=8, extract_concurrency=2)
+                    num_partitions=8)
     rep = run_entity_ingest(cfg)
     assert rep.commits == 1 and rep.events_applied == 300
     assert _entity_snapshot(cfg.lake_dir) == _expected_entities(cfg.wal_dir)
@@ -65,11 +65,11 @@ def test_entity_ingest_incremental_equals_single_shot(tmp_path):
                  n_segments=4, delete_fraction=0.15)
     inc = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake_inc"),
-                    num_partitions=4, extract_concurrency=2,
+                    num_partitions=4,
                     max_segments_per_batch=1)
     all_ = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                      lake_dir=os.path.join(tmp, "lake_all"),
-                     num_partitions=4, extract_concurrency=2)
+                     num_partitions=4)
     run_entity_ingest(inc)
     run_entity_ingest(all_)
     assert _entity_snapshot(inc.lake_dir) == _entity_snapshot(all_.lake_dir)
@@ -87,7 +87,7 @@ def test_entity_lake_compaction(tmp_path):
                  n_segments=4, delete_fraction=0.2)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "elake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_entity_ingest(cfg)
     before = _entity_snapshot(cfg.lake_dir)
     m = load_manifest(cfg.lake_dir)

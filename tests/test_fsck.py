@@ -29,7 +29,7 @@ def _mklake(tmp: str, **kw) -> CdcConfig:
     )
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=8, extract_concurrency=2)
+                    num_partitions=8)
     run_ingest(cfg)
     return cfg
 
@@ -149,7 +149,6 @@ def test_fsck_flags_dangling_tag_and_cursor(tmp_path):
     lake = str(tmp_path / "lake")
     generate_wal(wal, seed=91, n_urls=20, n_events=200, n_segments=2)
     run_ingest(CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=4,
-                         extract_concurrency=2,
                          max_segments_per_batch=1, retain_versions=None))
     tag_version(lake, "release", 1)
     _, tok = next_changes(lake, "wh")

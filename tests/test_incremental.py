@@ -44,7 +44,6 @@ def lake(tmp_path):
         wal_dir=os.path.join(tmp, "wal"),
         lake_dir=os.path.join(tmp, "lake"),
         num_partitions=8,
-        extract_concurrency=2,
         max_segments_per_batch=2,  # -> v1, v2, v3
         retain_versions=None,
     )

@@ -69,7 +69,7 @@ def test_kitchen_sink_converges(tmp_path):
                  delete_fraction=0.08, tie_fraction=0.05, v2_from_segment=4)
     _corrupt_segment(os.path.join(wal, "segment-00006.parquet"), 10_000)
     cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2,
+                    num_partitions=4,
                     max_segments_per_batch=3,
                     url_exclusion_pattern=EXCLUDE,
                     retain_versions=None)  # keep history for the feed leg
@@ -182,7 +182,7 @@ def test_round4_surface_chained(tmp_path):
     generate_wal(wal, seed=81, n_urls=40, n_events=600, n_segments=4,
                  delete_fraction=0.12)
     cfg = CdcConfig(wal_dir=wal, lake_dir=src, num_partitions=8,
-                    extract_concurrency=2, max_segments_per_batch=2,
+                    max_segments_per_batch=2,
                     retain_versions=None)
     run_ingest(cfg)  # v1, v2
     head = lake_snapshot(src).sort_by([("url", "ascending")])

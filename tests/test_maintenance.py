@@ -22,7 +22,7 @@ def test_compact_drops_tombstones_preserves_live_rows(tmp_path):
     )
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=8, extract_concurrency=2)
+                    num_partitions=8)
     run_ingest(cfg)
     before = lake_snapshot(cfg.lake_dir)
     m = load_manifest(cfg.lake_dir)
@@ -63,7 +63,7 @@ def test_ingest_continues_after_compaction(tmp_path):
                  n_segments=6, delete_fraction=0.12)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=8, extract_concurrency=2,
+                    num_partitions=8,
                     max_segments_per_batch=3)
     run_ingest(cfg)  # two commits? no: 6 segments / 3 = 2 commits
     compact_lake(cfg.lake_dir)
@@ -105,13 +105,13 @@ def test_split_partition_then_ingest_converges(tmp_path):
     )
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2,
+                    num_partitions=4,
                     max_segments_per_batch=3)
 
     # clean single-shot reference lake
     ref_cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                         lake_dir=os.path.join(tmp, "ref_lake"),
-                        num_partitions=4, extract_concurrency=2)
+                        num_partitions=4)
     run_ingest(ref_cfg)
     expected = lake_snapshot(ref_cfg.lake_dir)
 
@@ -163,7 +163,7 @@ def test_split_partition_on_nested_lake_preserves_state(tmp_path):
                  n_segments=2, rich_pages=True)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_nested_ingest(cfg, struct_version=2)
     before = lake_snapshot(cfg.lake_dir)
     m = load_manifest(cfg.lake_dir)
@@ -190,7 +190,7 @@ def test_compact_refuses_while_writer_live(tmp_path):
                  n_events=400, n_segments=4, delete_fraction=0.15)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_ingest(cfg)
     with writer_lock(cfg.lake_dir):
         with pytest.raises(ConcurrentWriterError):
@@ -213,7 +213,7 @@ def test_cluster_lake_sorts_and_prunes_row_groups(tmp_path):
     )
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_ingest(cfg)
     before = lake_snapshot(cfg.lake_dir)
     m = load_manifest(cfg.lake_dir)
@@ -268,7 +268,7 @@ def test_cluster_then_ingest_converges(tmp_path):
                  n_segments=6, delete_fraction=0.1)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=8, extract_concurrency=2,
+                    num_partitions=8,
                     max_segments_per_batch=3)
     run_ingest(cfg)
     cluster_lake(cfg.lake_dir, "url", row_group_rows=32)
@@ -278,7 +278,7 @@ def test_cluster_then_ingest_converges(tmp_path):
 
     clean = CdcConfig(wal_dir=cfg.wal_dir,
                       lake_dir=os.path.join(tmp, "clean"),
-                      num_partitions=8, extract_concurrency=2,
+                      num_partitions=8,
                       max_segments_per_batch=64)
     run_ingest(clean)
     a = lake_snapshot(cfg.lake_dir)
@@ -302,7 +302,7 @@ def test_cluster_lake_zorder_prunes_on_every_key(tmp_path):
     )
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=1, extract_concurrency=2)
+                    num_partitions=1)
     run_ingest(cfg)
     before = lake_snapshot(cfg.lake_dir)
     langs = sorted(set(before.column("lang").to_pylist()))
@@ -364,7 +364,7 @@ def test_rewind_watermark_backfill_converges(tmp_path):
                  n_segments=3, delete_fraction=0.1)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_ingest(cfg)
     before = lake_snapshot(cfg.lake_dir)
     wm = load_manifest(cfg.lake_dir).watermark
@@ -401,7 +401,7 @@ def test_auto_maintain_policy_runs_due_actions(tmp_path):
                  n_segments=2, delete_fraction=0.3)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_ingest(cfg)
     before = lake_snapshot(cfg.lake_dir)
 
@@ -441,8 +441,7 @@ def test_clone_lake_state_and_resume(tmp_path):
     dst = str(tmp_path / "dst")
     generate_wal(wal, seed=61, n_urls=30, n_events=400, n_segments=4,
                  delete_fraction=0.1)
-    cfg_src = CdcConfig(wal_dir=wal, lake_dir=src, num_partitions=4,
-                        extract_concurrency=2)
+    cfg_src = CdcConfig(wal_dir=wal, lake_dir=src, num_partitions=4)
     run_ingest(cfg_src)
     r = clone_lake(src, dst)
     assert r["files_copied"] > 0 and r["watermark"] == "segment-00003.parquet"
@@ -452,8 +451,7 @@ def test_clone_lake_state_and_resume(tmp_path):
     mc = load_manifest(dst)
     assert mc.version == 1 and mc.zones and mc.watermark == r["watermark"]
     # same WAL -> watermark makes re-ingest a no-op on the clone
-    cfg_dst = CdcConfig(wal_dir=wal, lake_dir=dst, num_partitions=4,
-                        extract_concurrency=2)
+    cfg_dst = CdcConfig(wal_dir=wal, lake_dir=dst, num_partitions=4)
     assert run_ingest(cfg_dst).commits == 0
     # new segments apply to the clone only
     generate_wal(wal, seed=62, n_urls=30, n_events=100, n_segments=1,
@@ -478,8 +476,7 @@ def test_clone_lake_independent_of_source_vacuum(tmp_path):
     src = str(tmp_path / "src")
     dst = str(tmp_path / "dst")
     generate_wal(wal, seed=63, n_urls=25, n_events=300, n_segments=2)
-    run_ingest(CdcConfig(wal_dir=wal, lake_dir=src, num_partitions=4,
-                         extract_concurrency=2))
+    run_ingest(CdcConfig(wal_dir=wal, lake_dir=src, num_partitions=4))
     clone_lake(src, dst)
     before = lake_snapshot(dst)
     vacuum(src, keep=1)
@@ -497,8 +494,7 @@ def test_clone_refuses_nonempty_dst(tmp_path):
     wal = str(tmp_path / "wal")
     src = str(tmp_path / "src")
     generate_wal(wal, seed=64, n_urls=10, n_events=100, n_segments=1)
-    run_ingest(CdcConfig(wal_dir=wal, lake_dir=src, num_partitions=2,
-                         extract_concurrency=2))
+    run_ingest(CdcConfig(wal_dir=wal, lake_dir=src, num_partitions=2))
     dst = str(tmp_path / "dst")
     os.makedirs(dst)
     with open(os.path.join(dst, "junk"), "w") as f:
@@ -528,7 +524,7 @@ def test_restore_rolls_back_and_replay_converges(tmp_path):
     generate_wal(wal, seed=71, n_urls=30, n_events=400, n_segments=4,
                  delete_fraction=0.15)
     cfg = CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=4,
-                    extract_concurrency=2, max_segments_per_batch=2,
+                    max_segments_per_batch=2,
                     retain_versions=None)
     run_ingest(cfg)  # v1 (segments 0-1), v2 (segments 2-3)
     head = lake_snapshot(lake).sort_by([("url", "ascending")])
@@ -570,7 +566,7 @@ def test_restore_across_split_guards_feed(tmp_path):
     lake = str(tmp_path / "lake")
     generate_wal(wal, seed=72, n_urls=40, n_events=400, n_segments=2)
     run_ingest(CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=4,
-                         extract_concurrency=2, retain_versions=None))
+                         retain_versions=None))
     v1 = lake_snapshot(lake).sort_by([("url", "ascending")])
     split_partition(lake, 1)  # v2, split map grew
     restore_lake(lake, 1)     # v3, split map REGRESSED vs v2

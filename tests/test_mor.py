@@ -74,7 +74,6 @@ def _cfg(tmp, **kw):
         wal_dir=os.path.join(tmp, "wal"),
         lake_dir=os.path.join(tmp, "lake"),
         num_partitions=8,
-        extract_concurrency=2,
     )
     defaults.update(kw)
     return CdcConfig(**defaults)
@@ -187,13 +186,13 @@ def test_mixed_mode_cow_batch_folds_touched_partitions(tmp_path):
     generate_wal(wal, seed=23, n_urls=40, n_events=400, n_segments=8,
                  delete_fraction=0.1, tie_fraction=0.1)
     mor = CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=8,
-                    extract_concurrency=2, merge_mode="mor")
+                    merge_mode="mor")
     run_ingest(mor)  # phase 1: the whole first WAL, MOR
     assert load_manifest(lake).delta_files
     generate_wal(wal, seed=57, n_urls=40, n_events=200, n_segments=4,
                  start_segment=8, delete_fraction=0.1)
     cow = CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=8,
-                    extract_concurrency=2, merge_mode="cow")
+                    merge_mode="cow")
     run_ingest(cow)  # phase 2: CoW folds what it touches
     m = load_manifest(lake)
     for part in m.partitions:
@@ -360,11 +359,11 @@ def test_entity_lake_mor_matches_cow(tmp_path):
 
     mor = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake_mor"),
-                    num_partitions=8, extract_concurrency=2,
+                    num_partitions=8,
                     merge_mode="mor", max_segments_per_batch=2)
     cow = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake_cow"),
-                    num_partitions=8, extract_concurrency=2)
+                    num_partitions=8)
     run_entity_ingest(mor)
     run_entity_ingest(cow)
     assert load_manifest(mor.lake_dir).delta_files
@@ -386,11 +385,11 @@ def test_mor_schema_evolution_across_delta_files(tmp_path):
                  n_segments=6, v2_from_segment=3, delete_fraction=0.08)
     mor = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake_mor"),
-                    num_partitions=8, extract_concurrency=2,
+                    num_partitions=8,
                     merge_mode="mor", max_segments_per_batch=2)
     cow = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake_cow"),
-                    num_partitions=8, extract_concurrency=2,
+                    num_partitions=8,
                     max_segments_per_batch=2)
     run_ingest(mor)
     run_ingest(cow)
@@ -430,11 +429,11 @@ def test_nested_lake_mor_across_struct_evolution(tmp_path):
 
     def build(lake, mode):
         cfg = CdcConfig(wal_dir=wal1, lake_dir=lake, num_partitions=8,
-                        extract_concurrency=2, merge_mode=mode,
+                        merge_mode=mode,
                         max_segments_per_batch=2)
         run_nested_ingest(cfg, struct_version=1)
         cfg2 = CdcConfig(wal_dir=wal2, lake_dir=lake, num_partitions=8,
-                         extract_concurrency=2, merge_mode=mode,
+                         merge_mode=mode,
                          max_segments_per_batch=2)
         run_nested_ingest(cfg2, struct_version=2)
         return lake_snapshot(lake)
@@ -504,7 +503,7 @@ def test_random_mode_and_maintenance_interleaving_converges(tmp_path, seed):
                      delete_fraction=0.1, tie_fraction=0.1)
         mode = rng.choice(["mor", "cow"])
         cfg = CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=8,
-                        extract_concurrency=2, merge_mode=mode,
+                        merge_mode=mode,
                         max_segments_per_batch=rng.choice([1, 2, 4]))
         run_ingest(cfg)
         op = rng.choice(["none", "fold", "compact", "split", "cluster",

@@ -30,7 +30,7 @@ def _cfg(tmp, src, lake="lake", **kw):
     return CdcConfig(
         wal_dir=os.path.join(tmp, f"wal_{src}"),
         lake_dir=os.path.join(tmp, lake),
-        num_partitions=8, extract_concurrency=2, source=src, **kw,
+        num_partitions=8, source=src, **kw,
     )
 
 
@@ -60,7 +60,7 @@ def test_interleaved_sources_converge_and_cursors_are_independent(
     run_ingest(CdcConfig(
         wal_dir=os.path.join(tmp, "wal_a"),
         lake_dir=os.path.join(tmp, "lake_ref"),
-        num_partitions=8, extract_concurrency=2,
+        num_partitions=8,
         segment_glob="segment-*.parquet",
     ))
     # second WAL replays into the same reference lake via a named
@@ -103,7 +103,7 @@ def test_mixed_named_and_default_source(two_wals):
     cfg_default = CdcConfig(
         wal_dir=os.path.join(tmp, "wal_a"),
         lake_dir=os.path.join(tmp, "lake"),
-        num_partitions=8, extract_concurrency=2,
+        num_partitions=8,
     )
     assert run_ingest(cfg_default).commits == 1
     assert run_ingest(_cfg(tmp, "b")).commits == 1
@@ -240,7 +240,7 @@ def test_entity_lake_multi_source(tmp_path):
         r = run_entity_ingest(CdcConfig(
             wal_dir=os.path.join(tmp, f"wal_{src}"),
             lake_dir=os.path.join(tmp, "elake"),
-            num_partitions=8, extract_concurrency=2, source=src,
+            num_partitions=8, source=src,
         ))
         assert r.commits == 1
     m = load_manifest(os.path.join(tmp, "elake"))
@@ -249,12 +249,12 @@ def test_entity_lake_multi_source(tmp_path):
     run_entity_ingest(CdcConfig(
         wal_dir=os.path.join(tmp, "wal_a"),
         lake_dir=os.path.join(tmp, "elake_ref"),
-        num_partitions=8, extract_concurrency=2,
+        num_partitions=8,
     ))
     run_entity_ingest(CdcConfig(
         wal_dir=os.path.join(tmp, "wal_b"),
         lake_dir=os.path.join(tmp, "elake_ref"),
-        num_partitions=8, extract_concurrency=2, source="b",
+        num_partitions=8, source="b",
     ))
     a = lake_snapshot(os.path.join(tmp, "elake"))
     b = lake_snapshot(os.path.join(tmp, "elake_ref"))

@@ -61,7 +61,7 @@ def test_nested_lake_commits_and_evolves(tmp_path):
     generate_wal(wal, seed=51, n_urls=40, n_events=300, n_segments=4,
                  delete_fraction=0.1, rich_pages=True)
     cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
 
     # --- v1: nested columns committed and LWW-correct -----------------
     run_nested_ingest(cfg, struct_version=1)
@@ -118,7 +118,7 @@ def test_nested_lake_change_feed_across_evolution(tmp_path):
     generate_wal(wal, seed=51, n_urls=40, n_events=300, n_segments=4,
                  delete_fraction=0.1, rich_pages=True)
     cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=4, extract_concurrency=2)
+                    num_partitions=4)
     run_nested_ingest(cfg, struct_version=1)  # -> v1
     generate_wal(wal, seed=52, n_urls=40, n_events=150, n_segments=2,
                  start_segment=4, delete_fraction=0.1, rich_pages=True)

@@ -44,7 +44,7 @@ def _mk_lake(tmp, *, seed=5, segments=4, glob=None, mode="cow",
     )
     cfg = CdcConfig(
         wal_dir=os.path.join(tmp, "wal"), lake_dir=os.path.join(tmp, "lake"),
-        num_partitions=8, extract_concurrency=2, max_segments_per_batch=2,
+        num_partitions=8, max_segments_per_batch=2,
         retain_versions=retain, merge_mode=mode,
         **({"segment_glob": glob} if glob else {}),
     )
@@ -134,7 +134,7 @@ def test_purge_blocks_future_wal_events(tmp_path):
     # tail the remaining segments (they carry new events for victim)
     cfg2 = CdcConfig(
         wal_dir=cfg.wal_dir, lake_dir=cfg.lake_dir, num_partitions=8,
-        extract_concurrency=2, retain_versions=10,
+        retain_versions=10,
     )
     run_ingest(cfg2)
     assert victim not in _urls_of(lake_snapshot(cfg.lake_dir))
@@ -262,7 +262,7 @@ def test_branch_fork_carries_purge_registry(tmp_path):
     # branch ingest tails the remaining WAL: the guard must hold there
     run_ingest(CdcConfig(
         wal_dir=cfg.wal_dir, lake_dir=b["dir"], num_partitions=8,
-        extract_concurrency=2, retain_versions=10,
+        retain_versions=10,
     ))
     assert victim not in _urls_of(lake_snapshot(b["dir"]))
 
@@ -279,7 +279,7 @@ def test_purge_clone_carries_registry(tmp_path):
     rewind_watermark(clone, to=None)
     run_ingest(CdcConfig(
         wal_dir=cfg.wal_dir, lake_dir=clone, num_partitions=8,
-        extract_concurrency=2, retain_versions=10,
+        retain_versions=10,
     ))
     assert victim not in _urls_of(lake_snapshot(clone))
 

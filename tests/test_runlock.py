@@ -80,7 +80,7 @@ def test_stale_ingest_batch_rejected_and_staging_cleaned(tmp_path, ray_session):
     lake = str(tmp_path / "lake")
     generate_wal(wal, seed=7, n_urls=20, n_events=120, n_segments=4)
     cfg = CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=4,
-                    extract_concurrency=2, max_segments_per_batch=2)
+                    max_segments_per_batch=2)
 
     # writer A ingests the first two segments and loads its state
     run_ingest(cfg)
@@ -185,28 +185,47 @@ def test_stale_break_has_single_winner(tmp_path):
 def test_verify_lock_fencing_detects_broken_lease(tmp_path):
     """A zombie writer whose lease was broken by a successor must fail
     the fencing check before destructive actions (GC)."""
-    from data_hub_ejp_xml_pipeline_ray.state.checkpoint import (
-        renew_lock,
-        verify_lock,
-    )
+    from data_hub_ejp_xml_pipeline_ray.state.checkpoint import verify_lock
 
     lake = str(tmp_path / "lake")
     lock_path = os.path.join(lake, LOCK_NAME)
     with writer_lock(lake) as token:
         verify_lock(lake, token)  # still ours
-        renew_lock(lake, token, lease_seconds=300)
-        with open(lock_path) as f:
-            assert json.load(f)["expires_at"] > time.time() + 200
         # successor breaks our (now-expired-in-its-view) lease
         with open(lock_path, "w") as f:
             json.dump({"owner": "successor", "expires_at": time.time() + 60}, f)
         with pytest.raises(ConcurrentWriterError, match="broken"):
             verify_lock(lake, token)
-        with pytest.raises(ConcurrentWriterError):
-            renew_lock(lake, token)
         # restore so the context-manager exit doesn't remove successor's
         with open(lock_path) as f:
             assert json.load(f)["owner"] == "successor"
+
+
+def test_lost_create_reply_counts_as_acquired(tmp_path, monkeypatch):
+    """A create whose write landed but whose reply was lost (a retrying
+    store client re-sends it and is told the key exists) leaves the
+    writer reading its OWN live lease: that is an acquired lock, not a
+    concurrent writer. A foreign live lease is still refused."""
+    from data_hub_ejp_xml_pipeline_ray.state import checkpoint
+    from data_hub_ejp_xml_pipeline_ray.state.store import LocalFsStore
+
+    class LostReplyStore(LocalFsStore):
+        def put_if_absent(self, path, data):
+            super().put_if_absent(path, data)
+            return False  # the write may have landed; the reply is lost
+
+    monkeypatch.setattr(checkpoint, "resolve_store", lambda _p: LostReplyStore())
+    lake = str(tmp_path / "lake")
+    lock_path = os.path.join(lake, LOCK_NAME)
+    with writer_lock(lake) as token:
+        checkpoint.verify_lock(lake, token)
+    assert not os.path.exists(lock_path)  # released on exit
+
+    with open(lock_path, "w") as f:
+        json.dump({"owner": "other", "expires_at": time.time() + 60}, f)
+    with pytest.raises(ConcurrentWriterError, match="locked by other"):
+        with writer_lock(lake):
+            pass
 
 
 def test_check_no_live_writer_fail_fast(tmp_path):

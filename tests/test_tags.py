@@ -33,7 +33,7 @@ def versioned_lake(tmp_path):
                  n_segments=4, delete_fraction=0.1)
     cfg = CdcConfig(wal_dir=os.path.join(tmp, "wal"),
                     lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=8, extract_concurrency=2,
+                    num_partitions=8,
                     max_segments_per_batch=1,
                     retain_versions=None)  # keep all history for tagging
     run_ingest(cfg)
@@ -87,7 +87,7 @@ def test_tag_survives_ingest_retention(tmp_path):
     generate_wal(wal, seed=32, n_urls=20, n_events=50, n_segments=1,
                  delete_fraction=0.1)
     cfg = CdcConfig(wal_dir=wal, lake_dir=os.path.join(tmp, "lake"),
-                    num_partitions=8, extract_concurrency=2,
+                    num_partitions=8,
                     max_segments_per_batch=1, retain_versions=2)
     run_ingest(cfg)  # v1
     pinned = lake_snapshot(cfg.lake_dir)

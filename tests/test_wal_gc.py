@@ -17,8 +17,7 @@ from tests.test_cdc_pipeline import _expected_lake, _snapshot_dict
 
 
 def _cfg(wal, lake):
-    return CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=4,
-                     extract_concurrency=2)
+    return CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=4)
 
 
 @pytest.fixture()

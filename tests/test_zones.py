@@ -139,7 +139,7 @@ def test_commit_records_zones_and_carries_forward(tmp_path, monkeypatch):
     wal, lake = str(tmp_path / "wal"), str(tmp_path / "lake")
     generate_wal(wal, seed=11, n_urls=80, n_events=1200, n_segments=4)
     cfg = CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=8,
-                    extract_concurrency=2, max_segments_per_batch=2)
+                    max_segments_per_batch=2)
     calls: list[str] = []
     real = zones_mod.file_zone_doc
     monkeypatch.setattr(
@@ -182,13 +182,12 @@ def pruning_lake(tmp_path_factory):
     wal, lake = str(root / "wal"), str(root / "lake")
     generate_wal(wal, seed=21, n_urls=150, n_events=2500, n_segments=4,
                  delete_fraction=0.08)
-    cfg = CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=16,
-                    extract_concurrency=2)
+    cfg = CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=16)
     run_ingest(cfg)
     generate_wal(wal, seed=22, n_urls=3, n_events=60, n_segments=2,
                  start_segment=4, v2_from_segment=0, delete_fraction=0.0)
     run_ingest(CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=16,
-                         extract_concurrency=2, merge_mode="mor"))
+                         merge_mode="mor"))
     return lake
 
 
@@ -271,8 +270,7 @@ def test_point_lookup_after_split(tmp_path):
 
     wal, lake = str(tmp_path / "wal"), str(tmp_path / "lake")
     generate_wal(wal, seed=31, n_urls=60, n_events=900, n_segments=3)
-    run_ingest(CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=4,
-                         extract_concurrency=2))
+    run_ingest(CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=4))
     split_partition(lake, 1)
     snap = lake_snapshot(lake)
     for i in (0, 9, 23):
@@ -304,7 +302,7 @@ def test_entity_group_lake_constrained_read(tmp_path):
     generate_wal(wal, seed=41, n_urls=50, n_events=700, n_segments=3,
                  rich_pages=True, delete_fraction=0.1)
     run_entity_ingest(CdcConfig(wal_dir=wal, lake_dir=lake,
-                                num_partitions=8, extract_concurrency=2))
+                                num_partitions=8))
     snap = lake_snapshot(lake)
     url = snap.column("url")[0].as_py()
     plan = scan_plan(lake, [["url", "==", url]])
@@ -353,8 +351,7 @@ def test_zones_identical_across_crashed_commit_retry(tmp_path, monkeypatch):
             real_store.put_atomic(path, data)
 
     lake_a = str(tmp_path / "lake_a")
-    cfg = CdcConfig(wal_dir=wal, lake_dir=lake_a, num_partitions=4,
-                    extract_concurrency=2)
+    cfg = CdcConfig(wal_dir=wal, lake_dir=lake_a, num_partitions=4)
     monkeypatch.setattr(store_mod, "LOCAL_STORE", CrashingStore())
     with pytest.raises(RuntimeError, match="simulated crash"):
         run_ingest(cfg)
@@ -363,8 +360,7 @@ def test_zones_identical_across_crashed_commit_retry(tmp_path, monkeypatch):
     monkeypatch.setattr(store_mod, "LOCAL_STORE", real_store)
 
     lake_b = str(tmp_path / "lake_b")
-    run_ingest(CdcConfig(wal_dir=wal, lake_dir=lake_b, num_partitions=4,
-                         extract_concurrency=2))
+    run_ingest(CdcConfig(wal_dir=wal, lake_dir=lake_b, num_partitions=4))
     ma, mb = load_manifest(lake_a), load_manifest(lake_b)
     assert ma.zones and ma.zones == mb.zones
     assert lake_snapshot(lake_a).sort_by([("url", "ascending")]).equals(
@@ -385,8 +381,7 @@ def test_zones_follow_maintenance_rewrites(tmp_path):
     wal, lake = str(tmp_path / "wal"), str(tmp_path / "lake")
     generate_wal(wal, seed=53, n_urls=60, n_events=800, n_segments=2,
                  delete_fraction=0.2)
-    run_ingest(CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=8,
-                         extract_concurrency=2))
+    run_ingest(CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=8))
     before = set(load_manifest(lake).zones)
     compact_lake(lake)
     cluster_lake(lake, "lang")
