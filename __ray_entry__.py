@@ -4,8 +4,8 @@ The driver initialises Ray BEFORE importing this module; nothing here
 (or in the library) calls ``ray.init()`` / ``ray.shutdown()``.
 
 * ``entry()`` — flagship CDC pipeline at sf0.001: deterministic WAL ->
-  actor-pool extract -> LWW merge -> manifest-committed lake; returns
-  the merged lake as a ``ray.data.Dataset``.
+  fused extract/combine/spill tasks -> LWW merge -> manifest-committed
+  lake; returns the merged lake as a ``ray.data.Dataset``.
 * ``queries()`` — one callable per implemented operator/pipeline from
   SURVEY.md §2 (plus training-data additions); see
   ``data_hub_ejp_xml_pipeline_ray/pipelines/queries.py``. Iteration

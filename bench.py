@@ -255,6 +255,16 @@ def _timed(fn) -> tuple[float, object, float]:
 
 
 def run_bench(sf_dir: str, num_cpus: int) -> dict:
+    from data_hub_ejp_xml_pipeline_ray.pipelines.queries import local_s3
+
+    # the objstore_ingest_s leg's s3:// lake lives on a local moto S3
+    # server; Ray workers see its AWS_* env only if set before ray.init
+    with local_s3() as env:
+        os.environ.update(env)
+        return _run_bench(sf_dir, num_cpus)
+
+
+def _run_bench(sf_dir: str, num_cpus: int) -> dict:
     import ray
 
     ray.init(
@@ -423,32 +433,23 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
                 t_nested = time.perf_counter() - t0
             shutil.rmtree(edir, ignore_errors=True)
 
-    # Ingest with the LAKE ON THE OBJECT STORE (S3-semantics bucket
-    # actor, 2ms injected RTT): same WAL, same merge — measures the
-    # commit path when every manifest write is a conditional PUT and
-    # every partition file a whole-object PUT. SKIPPED at scaling
-    # volumes.
+    # Ingest with the LAKE ON S3 (a local moto server, every call a
+    # real HTTP round trip): same WAL, same merge — measures the commit
+    # path when every manifest write is a conditional PUT and every
+    # partition file a whole-object PUT. SKIPPED at scaling volumes.
     t_objstore = None
     if n_events <= 2_000_000:
-        from data_hub_ejp_xml_pipeline_ray.state.objstore import (
-            ensure_object_store,
-        )
+        import boto3
 
-        h = ensure_object_store("bench")
-        # set explicitly: get_if_exists would keep a prior actor's RTT
-        ray.get(h.set_latency.remote(0.002))
-        for k in ray.get(h.list_prefix.remote("", recursive=True)):
-            ray.get(h.delete.remote(k))
+        boto3.client("s3").create_bucket(Bucket="bench")
         cfg_s = CdcConfig(
-            wal_dir=wal, lake_dir="objstore://bench/lake",
+            wal_dir=wal, lake_dir="s3://bench/lake",
             num_partitions=64, max_segments_per_batch=64,
             staging_root=staging_root,
         )
         t0 = time.perf_counter()
         run_ingest(cfg_s)
         t_objstore = time.perf_counter() - t0
-        for k in ray.get(h.list_prefix.remote("", recursive=True)):
-            ray.get(h.delete.remote(k))
 
     # Dataset-native near-dup clustering under a NATURAL heavy load:
     # ~90k verified pairs keep the candidate stream a Dataset end to
@@ -661,7 +662,22 @@ def run_soak() -> dict:
     (default 4000). Prints one JSON line with p50/p99 per phase
     (first/middle/last thirds), file/manifest counts, index lag and
     WAL backlog at the end.
+
+    GRAFT_SOAK_OBJSTORE=1: the lake (and index dirs) live on ``s3://``
+    on a local moto S3 server — the steady-state loop measured against
+    object storage instead of the local disk. The server's AWS_* env is
+    set before ray.init so Ray workers inherit it.
     """
+    if os.environ.get("GRAFT_SOAK_OBJSTORE") != "1":
+        return _run_soak(on_bucket=False)
+    from data_hub_ejp_xml_pipeline_ray.pipelines.queries import local_s3
+
+    with local_s3() as env:
+        os.environ.update(env)
+        return _run_soak(on_bucket=True)
+
+
+def _run_soak(on_bucket: bool) -> dict:
     import ray
 
     commits = int(os.environ.get("GRAFT_SOAK_COMMITS", "120"))
@@ -691,19 +707,11 @@ def run_soak() -> dict:
     shutil.rmtree(base, ignore_errors=True)
     pending = os.path.join(base, "pending")   # pre-generated stream
     wal = os.path.join(base, "wal")           # what the tailer sees
-    # GRAFT_SOAK_OBJSTORE=1: the lake (and index dirs) live on the
-    # S3-semantics bucket actor — the steady-state loop measured against
-    # object storage instead of the local disk
-    on_bucket = os.environ.get("GRAFT_SOAK_OBJSTORE") == "1"
     if on_bucket:
-        from data_hub_ejp_xml_pipeline_ray.state.objstore import (
-            ensure_object_store,
-        )
+        import boto3
 
-        h = ensure_object_store("soak")
-        for k in ray.get(h.list_prefix.remote("", recursive=True)):
-            ray.get(h.delete.remote(k))
-        lake = "objstore://soak/lake"
+        boto3.client("s3").create_bucket(Bucket="soak")
+        lake = "s3://soak/lake"
     else:
         lake = os.path.join(base, "lake")
     os.makedirs(wal, exist_ok=True)
@@ -721,7 +729,7 @@ def run_soak() -> dict:
         merge_mode="mor", retain_versions=2,
     )
     if on_bucket:
-        idx_dir, sim_dir = "objstore://soak/idx", "objstore://soak/sim"
+        idx_dir, sim_dir = "s3://soak/idx", "s3://soak/sim"
     else:
         idx_dir, sim_dir = os.path.join(base, "idx"), os.path.join(base, "sim")
     lat = {"ingest": [], "dedup_idx": [], "simhash_idx": [], "maintain": []}
@@ -784,7 +792,7 @@ def run_soak() -> dict:
         "unit": "sec",
         "commits": commits,
         "events_per_commit": ev_per,
-        "lake_backend": "objstore" if on_bucket else "posix",
+        "lake_backend": "s3" if on_bucket else "posix",
         "num_cpus": num_cpus,
         "latency": {k: drift(v) for k, v in lat.items()},
         "total_wall_s": round(sum(sum(v) for v in lat.values()), 1),

@@ -67,30 +67,6 @@ def minhash_params(num_perm: int, seed: int = 1234) -> tuple[np.ndarray, np.ndar
     return a, b
 
 
-def minhash_signature(
-    shingles: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """MinHash signature (num_perm,) of one shingle set. Fully
-    vectorized: one (num_perm x num_shingles) uint64 multiply-add with
-    intentional wraparound, then a min-reduce."""
-    num_perm = len(a)
-    if shingles.size == 0:
-        return np.full(num_perm, _MAX_U64, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        vals = a[:, None] * shingles[None, :].astype(np.uint64) + b[:, None]
-    return vals.min(axis=1)
-
-
-def band_keys(signature: np.ndarray, num_bands: int) -> list[int]:
-    """LSH band bucket keys: stable 64-bit hash of each band's rows."""
-    rows = len(signature) // num_bands
-    keys = []
-    for bnd in range(num_bands):
-        chunk = signature[bnd * rows : (bnd + 1) * rows]
-        keys.append(stable_hash64(chunk.tobytes()))
-    return keys
-
-
 def simhash(text: str) -> int:
     """64-bit SimHash over token hashes weighted by frequency."""
     toks = tokens_of(text)
@@ -194,8 +170,8 @@ def minhash_band_rows_batch(
     Returns ``(band int32, band_key int64 (>>1), row_idx int64)`` —
     one row per (document, band), exploded for the bucket shuffle.
 
-    Replaces the per-document Python loop (``shingle_hashes`` +
-    ``minhash_signature`` + ``band_keys`` per row — millions of
+    Replaces a per-document Python loop (``shingle_hashes``, then a
+    signature and one band hash per row — millions of
     interpreter-level blake2b calls per batch): ONE polars
     tokenize/shift-concat/hash pass for every shingle of every doc,
     then a chunked ``np.minimum.reduceat`` for the signatures and a

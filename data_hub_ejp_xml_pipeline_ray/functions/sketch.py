@@ -458,12 +458,3 @@ def bloom_contains(bits: np.ndarray, hashes, k: int = BLOOM_K) -> np.ndarray:
             (bits[word] >> bit) & np.uint64(1)
         ).astype(bool)
     return acc
-
-
-def bloom_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Union of two same-sized blooms (bitwise OR) — associative,
-    commutative, idempotent: partial blooms built per batch merge into
-    exactly the bloom of the union of their inputs."""
-    if a.size != b.size:
-        raise ValueError(f"bloom size mismatch: {a.size} != {b.size}")
-    return a | b

@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..schemas import WIRE_ONLY_COLUMNS, merge_schemas
+from ..schemas import WIRE_ONLY_COLUMNS, merge_schemas, unify_many
 from ..sources import wal as wal_source
 from ..stages.merge import (
     DELETED_COL,
@@ -54,6 +55,7 @@ from ..state.checkpoint import (
     verify_lock,
     writer_lock,
 )
+from ..state.store import is_s3_path
 
 DEFAULT_NUM_PARTITIONS = 64
 ERRORS_DIR = "_errors"
@@ -215,7 +217,8 @@ def _ingest_one_batch(
     token = batch_token(
         effective_wm, [s.name for s in segments], manifest.version
     )
-    wire = wal_source.unified_wire_schema(segments)
+    seg_schemas = wal_source.segment_schemas(segments)
+    wire = unify_many(seg_schemas)
     # DDL projection BEFORE the union: wire columns arriving under a
     # pre-rename name map to the live name, and dropped columns never
     # re-enter the lake schema (pipelines/ddl.py).
@@ -254,9 +257,9 @@ def _ingest_one_batch(
     # is the phase barrier — only tiny manifest rows reach the driver.
     if cfg.staging_root:
         staging_root = cfg.staging_root
-    elif cfg.lake_dir.startswith("objstore://"):
+    elif is_s3_path(cfg.lake_dir):
         # staging is node-local scratch BY DESIGN (see CdcConfig): an
-        # object-store lake still spills to the worker's local disk —
+        # s3:// lake still spills to the worker's local disk —
         # shipping per-block spill row groups through the bucket would
         # double the write path for files that die minutes later
         import hashlib as _hl
@@ -291,8 +294,13 @@ def _ingest_one_batch(
         "errors_dir": (
             os.path.join(cfg.lake_dir, ERRORS_DIR) if cfg.quarantine else None
         ),
-        # declarative CHECK constraints ride the same DLQ
+        # declarative CHECK constraints ride the same DLQ; a column a
+        # segment's own schema lacks is vacuously true for its rows
         "constraints": cfg.constraints,
+        "absent_columns": {
+            s.name: [c for c in wire.names if c not in sch.names]
+            for s, sch in zip(segments, seg_schemas)
+        },
         # right-to-be-forgotten guard: a replayed WAL range must
         # not resurrect a purged key (maintenance.purge_urls)
         "purged_urls": sorted(list_purged(cfg.lake_dir)) or None,
@@ -802,9 +810,8 @@ def read_lake(
         read_kwargs = dict(columns=target.names, schema=target)
     if filter is not None:
         read_kwargs["filter"] = filter
-    from ..state.iofs import read_parquet_dataset
 
-    out = read_parquet_dataset(paths, **read_kwargs).map_batches(
+    out = ray.data.read_parquet(paths, **read_kwargs).map_batches(
         conform, batch_format="pyarrow", zero_copy_batch=True
     )
     if read_cols is not columns and columns is not None:
@@ -1054,9 +1061,7 @@ def changes_between(
             # of every older manifest's — guarded above)
             from ..schemas import apply_renames, physical_read_columns
 
-            from ..state.iofs import parquet_file
-
-            f = parquet_file(p)
+            f = pq.ParquetFile(p)
             want = physical_read_columns(list(schema.names), feed_renames)
             avail = [c for c in want if c in set(f.schema_arrow.names)]
             return conform_table(
@@ -1306,8 +1311,6 @@ def wal_lag(
     ``S3NewKeyFromLastDataDownloadDateSensor``). ``pending_events`` is
     None when a pending segment's format carries no footer row count
     (JSONL)."""
-    from ..state.iofs import parquet_file
-
     m = load_manifest(lake_dir)
     if m is None:
         wm = None
@@ -1324,7 +1327,7 @@ def wal_lag(
     events: int | None = 0
     for s in segs:
         if s.path.endswith(".parquet"):
-            events += parquet_file(s.path).metadata.num_rows
+            events += pq.ParquetFile(s.path).metadata.num_rows
         else:
             events = None
             break
@@ -1466,9 +1469,7 @@ def entity_changes_between(
         def read_file(p: str) -> pa.Table:
             from ..schemas import apply_renames, physical_read_columns
 
-            from ..state.iofs import parquet_file
-
-            f = parquet_file(p)
+            f = pq.ParquetFile(p)
             want = physical_read_columns(list(schema.names), feed_renames)
             avail = [c for c in want if c in set(f.schema_arrow.names)]
             return conform_table(
@@ -1576,7 +1577,7 @@ def read_errors(lake_dir: str) -> pa.Table:
     that failed the WAL contract or UTF-8 decode, with ``error`` tag +
     ``_src_segment`` provenance. Empty table when the lake is clean."""
     from ..stages.merge import ERRORS_SCHEMA
-    from ..state.iofs import list_data_files, read_table
+    from ..state.iofs import list_data_files
 
     files = sorted(
         f for f in list_data_files(os.path.join(lake_dir, ERRORS_DIR))
@@ -1584,7 +1585,7 @@ def read_errors(lake_dir: str) -> pa.Table:
     )
     if not files:
         return ERRORS_SCHEMA.empty_table()
-    return pa.concat_tables([read_table(f) for f in files])
+    return pa.concat_tables([pq.read_table(f) for f in files])
 
 
 def redrive_errors(cfg: CdcConfig, fixer=None) -> dict:
@@ -1771,7 +1772,6 @@ def lookup_urls(lake_dir: str, urls: list[str]) -> pa.Table:
     from ..schemas import apply_renames, conform_table
 
     from ..stages.merge import reduce_fn_for_kind
-    from ..state.iofs import read_table as _iofs_read_table
 
     tables = []
     for part, part_urls in sorted(by_part.items()):
@@ -1781,7 +1781,7 @@ def lookup_urls(lake_dir: str, urls: list[str]) -> pa.Table:
         pieces = [
             conform_table(
                 apply_renames(
-                    _iofs_read_table(
+                    pq.read_table(
                         os.path.join(lake_dir, rel),
                         filters=[("url", "in", part_urls)],
                     ),

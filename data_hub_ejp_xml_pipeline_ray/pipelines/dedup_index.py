@@ -103,10 +103,8 @@ def _rewrite_pair_bucket(
     file name, or None when the bucket emptied. Removal is by URL
     alone: a url has exactly one live pair, and its preimage key named
     this bucket."""
-    from ..state.iofs import read_table as _iofs_read
-
     old = (
-        _iofs_read(os.path.join(index_dir, old_rel))
+        pq.read_table(os.path.join(index_dir, old_rel))
         if old_rel is not None
         else pa.table({"key": pa.array([], pa.string()),
                        "url": pa.array([], pa.string())})
@@ -135,10 +133,8 @@ def _rewrite_band_bucket(
     """SimHash variant of :func:`_rewrite_pair_bucket`: retire the
     url's old rows for exactly the (band, key) combinations its
     preimage signature names."""
-    from ..state.iofs import read_table as _iofs_read
-
     old = (
-        _iofs_read(os.path.join(index_dir, old_rel))
+        pq.read_table(os.path.join(index_dir, old_rel))
         if old_rel is not None
         else pa.table({
             "band": pa.array([], pa.int32()), "key": pa.array([], pa.int64()),
@@ -209,8 +205,6 @@ def refresh_dedup_index(
             f"{m_target.schema.names} (renamed or dropped by alter_lake?)"
         )
 
-    if not index_dir.startswith("objstore://"):
-        os.makedirs(index_dir, exist_ok=True)
     prev_files = dict(state["files"]) if state is not None else {}
     if state is None:
         num_buckets = _buckets_from_lake(manifest)
@@ -370,9 +364,7 @@ def dup_groups(index_dir: str, *, min_urls: int = 2) -> ray.data.Dataset:
         out_n: list = []
         out_u: list = []
         for path in batch.column("path").to_pylist():
-            from ..state.iofs import read_table as _rt
-
-            t = _rt(path)  # written sorted by (key, url)
+            t = pq.read_table(path)  # written sorted by (key, url)
             g = t.group_by("key").aggregate(
                 [("url", "count"), ("url", "min")]
             )
@@ -507,8 +499,6 @@ def refresh_simhash_index(
             f"{m_target.schema.names} (renamed or dropped by alter_lake?)"
         )
 
-    if not index_dir.startswith("objstore://"):
-        os.makedirs(index_dir, exist_ok=True)
     prev_files = dict(state["files"]) if state is not None else {}
     if state is None:
         num_buckets = _buckets_from_lake(manifest)
@@ -661,10 +651,9 @@ def near_dup_clusters(
     def verify_bucket(batch: pa.Table) -> pa.Table:
         out_a: list[str] = []
         out_b: list[str] = []
-        from ..state.iofs import read_table as _rt
 
         for path in batch.column("path").to_pylist():
-            t = _rt(path)
+            t = pq.read_table(path)
             urls = t.column("url").combine_chunks() if isinstance(
                 t.column("url"), pa.ChunkedArray) else t.column("url")
             enc = pc.dictionary_encode(urls)
@@ -845,11 +834,9 @@ def dup_drop_urls(index_dir: str) -> ray.data.Dataset:
         return ray.data.from_arrow(pa.table({"url": pa.array([], pa.string())}))
 
     def drops_of(batch: pa.Table) -> pa.Table:
-        from ..state.iofs import read_table as _rt
-
         out: list = []
         for path in batch.column("path").to_pylist():
-            t = _rt(path)
+            t = pq.read_table(path)
             g = t.group_by("key").aggregate([("url", "min")])
             mins = pa.table({
                 "key": g.column("key"), "min_url": g.column("url_min"),
@@ -882,9 +869,8 @@ def index_pairs(index_dir: str) -> ray.data.Dataset:
             pa.table({"key": pa.array([], pa.string()),
                       "url": pa.array([], pa.string())})
         )
-    from ..state.iofs import read_parquet_dataset
 
-    return read_parquet_dataset(paths)
+    return ray.data.read_parquet(paths)
 
 
 def fsck_index(index_dir: str) -> dict:
@@ -897,7 +883,6 @@ def fsck_index(index_dir: str) -> dict:
     from ..state.iofs import (
         file_exists as _fex,
         list_data_files as _ldf,
-        parquet_file as _pf,
     )
     from ..state.store import resolve_store as _rs_f
 
@@ -919,7 +904,7 @@ def fsck_index(index_dir: str) -> dict:
             path = os.path.join(index_dir, fname)
             if not _fex(path):
                 missing.append(fname)
-            elif _pf(path).metadata.num_rows == 0:
+            elif pq.ParquetFile(path).metadata.num_rows == 0:
                 empty.append(fname)
     import fnmatch as _fnm
 

@@ -217,14 +217,12 @@ def _dml_commit(
             (op, predicate, SET, base version, partition)."""
             pa.set_cpu_count(1)
             pa.set_io_thread_count(2)
-            from ..state.iofs import (
-                file_exists, file_size, parquet_file, write_table_atomic,
-            )
+            from ..state.iofs import file_exists, file_size, write_table_atomic
 
             rel = partition_delta_relpath(part, token)
             out_path = os.path.join(lake_dir, rel)
             if file_exists(out_path):  # crash-retry resume
-                f = parquet_file(out_path)
+                f = pq.ParquetFile(out_path)
                 t = f.read(columns=[DELETED_COL])
                 return {
                     "part": part, "rel": rel,

@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 from ray.data.aggregate import Sum
 
@@ -604,9 +605,8 @@ def read_distinct_view(view_dir: str) -> pa.Table:
         state = json.loads(_rs3(spath).get_bytes(spath))
     except FileNotFoundError:
         raise FileNotFoundError(f"no committed distinct view at {view_dir}")
-    from ..state.iofs import read_table
 
-    return read_table(os.path.join(view_dir, state["file"]))
+    return pq.read_table(os.path.join(view_dir, state["file"]))
 
 
 def read_extrema_view(view_dir: str) -> pa.Table:
@@ -618,9 +618,8 @@ def read_extrema_view(view_dir: str) -> pa.Table:
         state = json.loads(_rs2(spath).get_bytes(spath))
     except FileNotFoundError:
         raise FileNotFoundError(f"no committed extrema view at {view_dir}")
-    from ..state.iofs import read_table
 
-    return read_table(os.path.join(view_dir, state["file"]))
+    return pq.read_table(os.path.join(view_dir, state["file"]))
 
 
 def read_view(view_dir: str) -> pa.Table:
@@ -628,8 +627,4 @@ def read_view(view_dir: str) -> pa.Table:
     state = _load_state(view_dir)
     if state is None:
         raise FileNotFoundError(f"no committed view at {view_dir}")
-    import pyarrow.parquet as pq
-
-    from ..state.iofs import read_table
-
-    return read_table(os.path.join(view_dir, state["file"]))
+    return pq.read_table(os.path.join(view_dir, state["file"]))

@@ -355,10 +355,10 @@ def purge_urls(lake_dir: str, urls: list[str]) -> dict:
         def scrub_one(rel: str) -> dict:
             """Rewrite one file without the purged urls. Idempotent:
             the output name is a pure function of (file, url-set)."""
-            from ..state.iofs import file_size, read_table, write_table_atomic
+            from ..state.iofs import file_size, write_table_atomic
 
             path = os.path.join(lake_dir, rel)
-            t = read_table(path)
+            t = pq.read_table(path)
             mask = pc.is_in(t.column("url"), value_set=value_set)
             removed = int(pc.sum(mask).as_py() or 0)
             if removed == 0:
@@ -1169,18 +1169,14 @@ def _fsck_partition_task(
     partition actually holding it. Only counters return to the driver
     — never rows (one task per partition at any lake size)."""
     import pyarrow.compute as _pc
-    import pyarrow.parquet as _pq
 
     from ..stages.merge import DELETED_COL as _DEL
     from ..stages.merge import stable_hash_partition as _route
 
-    from ..state.iofs import parquet_file as _pfile
-    from ..state.iofs import read_table as _rtable
-
     path = os.path.join(lake_dir, rel)
-    pf = _pfile(path)
+    pf = pq.ParquetFile(path)
     cols = ["url"] + ([_DEL] if _DEL in pf.schema_arrow.names else [])
-    t = _rtable(path, columns=cols)
+    t = pq.read_table(path, columns=cols)
     rows = t.num_rows
     tombs = (
         int(_pc.sum(_pc.fill_null(t.column(_DEL), False)).as_py() or 0)
@@ -1300,9 +1296,7 @@ def fsck_lake(lake_dir: str, *, deep: bool = False) -> dict:
                         f"file bytes {actual_bytes} ({rel})"
                     )
                 try:
-                    from ..state.iofs import parquet_file as _pf2
-
-                    footer_rows = _pf2(path).metadata.num_rows
+                    footer_rows = pq.ParquetFile(path).metadata.num_rows
                 except Exception as e:  # torn write / truncation / tail junk
                     errors.append(
                         f"part {part}: unreadable parquet footer ({rel}): {e!r}"
@@ -1488,11 +1482,8 @@ def fsck_lake(lake_dir: str, *, deep: bool = False) -> dict:
             @ray.remote(num_cpus=1)
             def count_purged_hits(rel: str) -> tuple[str, int]:
                 import pyarrow.compute as _pc
-                import pyarrow.parquet as _pq
 
-                from ..state.iofs import read_table as _rt
-
-                t = _rt(
+                t = pq.read_table(
                     os.path.join(lake_dir, rel), columns=["url"]
                 )
                 hits = _pc.sum(_pc.is_in(

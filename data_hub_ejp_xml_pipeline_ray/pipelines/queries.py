@@ -16,6 +16,7 @@ the read.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 from datetime import datetime
 
@@ -3041,22 +3042,56 @@ def q_cdc_lake_state(sf_dir: str):
     return snap.select(["url", "warc_ts", "seq", "text", "lang"])
 
 
+@contextlib.contextmanager
+def local_s3():
+    """A moto S3 server on a free localhost port for the length of the
+    block. Yields the standard ``AWS_*`` environment that points boto3
+    and pyarrow at it; put it in ``os.environ`` before ``ray.init`` or
+    in a task's ``runtime_env`` so Ray workers reach the same server."""
+    import logging
+
+    from moto.server import ThreadedMotoServer
+
+    logging.getLogger("werkzeug").setLevel(logging.ERROR)  # per-request log
+    server = ThreadedMotoServer(ip_address="127.0.0.1", port=0, verbose=False)
+    server.start()
+    try:
+        host, port = server.get_host_and_port()
+        yield {
+            "AWS_ENDPOINT_URL": f"http://{host}:{port}",
+            "AWS_ACCESS_KEY_ID": "testing",
+            "AWS_SECRET_ACCESS_KEY": "testing",
+            "AWS_DEFAULT_REGION": "us-east-1",
+        }
+    finally:
+        server.stop()
+
+
+def _ingest_and_snapshot(wal_dir: str, lake: str) -> pa.Table:
+    import boto3
+
+    from ..state.store import split_s3_path
+    from .cdc import CdcConfig, lake_snapshot, run_ingest
+
+    boto3.client("s3").create_bucket(Bucket=split_s3_path(lake)[0])
+    run_ingest(CdcConfig(wal_dir=wal_dir, lake_dir=lake, num_partitions=16))
+    return lake_snapshot(lake)
+
+
 def q_cdc_lake_state_objstore(sf_dir: str):
     """Object-store flagship, DRIVER-ORACLE-CHECKED: the identical
-    derived-WAL ingest with ``lake_dir`` on the S3-semantics bucket
-    actor (``state/objstore.py``) — manifest commits via conditional
-    PUTs, partition files via whole-object PUTs, the merge's base
-    reads and the snapshot read via ranged GETs through the fsspec
-    adapter. Hash-equal to the same window-LWW SQL oracle as
-    ``cdc_lake_state``: the storage backend is invisible to the
-    table's logical state."""
+    derived-WAL ingest with ``lake_dir`` on ``s3://`` against a local
+    moto server — manifest commits via conditional PUTs, partition
+    files via whole-object PUTs, the merge's base reads and the
+    snapshot read through pyarrow's S3 filesystem. Hash-equal to the
+    same window-LWW SQL oracle as ``cdc_lake_state``: the storage
+    backend is invisible to the table's logical state. Ray is already
+    up, so the ingest runs in one task whose ``runtime_env`` carries
+    the server's ``AWS_*`` environment (nested Ray Data tasks inherit
+    it)."""
     import shutil
 
-    import ray as _ray
-
     from ..sources.synthetic import derive_wal_from_events
-    from ..state.objstore import ensure_object_store
-    from .cdc import CdcConfig, lake_snapshot, run_ingest
 
     work = derived_cdc_workdir(sf_dir, "lake_objstore")
     shutil.rmtree(work, ignore_errors=True)
@@ -3064,17 +3099,11 @@ def q_cdc_lake_state_objstore(sf_dir: str):
         os.path.join(sf_dir, "events.parquet"), os.path.join(work, "wal"),
         n_segments=8,
     )
-    h = ensure_object_store("qlake-objstore")
-    # the bucket actor is session-long: wipe any previous run's keys so
-    # the query is idempotent (exercises list+delete on the store)
-    for k in _ray.get(h.list_prefix.remote("", recursive=True)):
-        _ray.get(h.delete.remote(k))
-    lake = "objstore://qlake-objstore/lake"
-    run_ingest(CdcConfig(
-        wal_dir=os.path.join(work, "wal"), lake_dir=lake,
-        num_partitions=16,
-    ))
-    snap = lake_snapshot(lake)
+    with local_s3() as env:
+        task = ray.remote(num_cpus=0)(_ingest_and_snapshot).options(
+            runtime_env={"env_vars": env}
+        )
+        snap = ray.get(task.remote(os.path.join(work, "wal"), "s3://qlake/lake"))
     i = snap.column_names.index("warc_ts")
     snap = snap.set_column(
         i, "warc_ts", snap.column("warc_ts").cast(pa.timestamp("us"))
@@ -8149,7 +8178,7 @@ ORACLE_SQL = {
           FROM events)
         WHERE rn = 1 AND NOT is_del
     """,
-    # The storage backend is invisible to logical state: the objstore
+    # The storage backend is invisible to logical state: the s3://
     # flagship shares cdc_lake_state's window-LWW oracle verbatim.
     # Metadata-only DDL: the rename is pure SQL aliasing of the SAME
     # window-LWW state (event_type AS language), the added column is

@@ -31,6 +31,7 @@ import os
 from typing import Callable
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
 from ..schemas import conform_table, merge_schemas
@@ -166,8 +167,6 @@ def sync_replica(
         import numpy as np
         import pyarrow.compute as pc
 
-        from ..state.iofs import read_table as _iofs_read
-
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
         part = int(group.column(PART_COL)[0].as_py())
@@ -187,7 +186,7 @@ def sync_replica(
         if old_rel is not None:
             old = conform_table(
                 apply_renames(
-                    _iofs_read(os.path.join(replica_dir, old_rel)),
+                    pq.read_table(os.path.join(replica_dir, old_rel)),
                     src_renames,
                 ),
                 schema,

@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
 from ..schemas import conform_table, unify_many
@@ -175,8 +176,6 @@ def wal_gc(
     if not dry_run:
         from ..state.iofs import copy_file, delete_file
 
-        if archive_dir is not None and not archive_dir.startswith("objstore://"):
-            os.makedirs(archive_dir, exist_ok=True)
         for s in victims:
             if archive_dir is not None:
                 copy_file(s.path, os.path.join(archive_dir, s.name))
@@ -229,17 +228,19 @@ def _jsonl_segment_schema(path: str) -> pa.Schema:
     )
 
 
-def unified_wire_schema(segments: list[SegmentMeta]) -> pa.Schema:
-    """Unify the physical schemas of the given segments (parquet footer
-    scan / jsonl head sample only — never a data read)."""
-    from ..state.iofs import parquet_file
-
-    schemas = [
+def segment_schemas(segments: list[SegmentMeta]) -> list[pa.Schema]:
+    """Each segment's physical schema (parquet footer / jsonl head
+    sample only — never a data read)."""
+    return [
         _jsonl_segment_schema(s.path) if _is_jsonl(s)
-        else parquet_file(s.path).schema_arrow
+        else pq.ParquetFile(s.path).schema_arrow
         for s in segments
     ]
-    return unify_many(schemas)
+
+
+def unified_wire_schema(segments: list[SegmentMeta]) -> pa.Schema:
+    """Unify the physical schemas of the given segments."""
+    return unify_many(segment_schemas(segments))
 
 
 def segment_row_counts(segments: list[SegmentMeta]) -> int:
@@ -248,7 +249,7 @@ def segment_row_counts(segments: list[SegmentMeta]) -> int:
     newline count (bytes scan, no parse — at real scale a jsonl WAL
     writer would ship a sidecar count instead, and this is the slot
     it would plug into)."""
-    from ..state.iofs import open_binary, parquet_file
+    from ..state.iofs import open_binary
 
     total = 0
     for s in segments:
@@ -258,7 +259,7 @@ def segment_row_counts(segments: list[SegmentMeta]) -> int:
                 # foreign writer omitting the final newline
                 total += sum(1 for _ in f)
         else:
-            total += parquet_file(s.path).metadata.num_rows
+            total += pq.ParquetFile(s.path).metadata.num_rows
     return total
 
 
@@ -292,9 +293,8 @@ def read_segments(
         nb = override_num_blocks
         if nb is not None and js_segs:
             nb = max(1, nb * len(pq_segs) // len(segments))
-        from ..state.iofs import read_parquet_dataset
 
-        parts.append(read_parquet_dataset(
+        parts.append(ray.data.read_parquet(
             [s.path for s in pq_segs],
             override_num_blocks=nb,
             include_paths=include_paths,  # per-record provenance (M2)
@@ -307,9 +307,8 @@ def read_segments(
         # Arrow JSON reader yields string html / ISO-string warc_ts;
         # the conform pass below (or the fused conform in the spill
         # actor) casts them to the canonical wire types.
-        from ..state.iofs import read_json_dataset
 
-        parts.append(read_json_dataset(
+        parts.append(ray.data.read_json(
             [s.path for s in js_segs],
             override_num_blocks=nb,
             include_paths=include_paths,

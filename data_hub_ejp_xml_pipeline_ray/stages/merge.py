@@ -159,6 +159,7 @@ def _dead_letter_table(bad: pa.Table, reasons: list[str]) -> pa.Table:
 def check_constraints(
     batch: pa.Table,
     constraints: list,
+    absent_columns: dict[str, list[str]] | None = None,
 ) -> tuple[pa.Table, pa.Table | None, pa.Table | None]:
     """Declarative ingest-time CHECK constraints (expectations): split a
     wire batch into (passing rows, dead-letter rows, raw redrive rows)
@@ -174,7 +175,10 @@ def check_constraints(
       tombstones);
     * a column absent from this wire-schema version is vacuously true
       (schema evolution: the constraint starts binding when the column
-      arrives);
+      arrives). ``absent_columns`` maps a source segment name to the
+      columns its own schema lacks, so rows of an older segment stay
+      exempt after the batch was conformed to a newer unified schema
+      (matched on the ``_src_segment`` provenance column);
     * the FIRST failing constraint names the row's quarantine reason.
 
     All checks are vectorized pyarrow kernels; one boolean pass per
@@ -204,6 +208,15 @@ def check_constraints(
         )
         if col_name not in batch.column_names:
             continue
+        lacking = [s for s, cols in (absent_columns or {}).items()
+                   if col_name in cols]
+        if lacking and "_src_segment" in batch.column_names:
+            vacuous = pc.fill_null(pc.is_in(
+                batch.column("_src_segment"),
+                value_set=pa.array(lacking, pa.string()),
+            ), False).to_numpy(zero_copy_only=False)
+        else:
+            vacuous = False
         col = batch.column(col_name)
         isnull = pc.is_null(col).to_numpy(zero_copy_only=False)
         if op == "not_null":
@@ -222,7 +235,7 @@ def check_constraints(
                 ok = cmp_ops[op](col, value)
             okn = pc.fill_null(ok, False).to_numpy(zero_copy_only=False)
             viol = (~okn) & (~isnull)  # SQL CHECK: NULL passes
-        viol &= ~exempt
+        viol &= ~(exempt | vacuous)
         viol &= ~viol_any  # first failing constraint keeps the reason
         reasons[viol] = label
         viol_any |= viol
@@ -489,11 +502,10 @@ def read_effective_partition(
         None if need is None
         else physical_read_columns(list(schema.names), renames or [])
     )
-    from ..state.iofs import parquet_file
 
     pieces = []
     for rel in rels:
-        f = parquet_file(os.path.join(lake_dir, rel))
+        f = pq.ParquetFile(os.path.join(lake_dir, rel))
         avail = (
             None if read_names is None
             else [c for c in read_names if c in set(f.schema_arrow.names)]
@@ -651,6 +663,7 @@ class ExtractCombineSpill:
                  splits: frozenset[tuple[int, int]] | None = None,
                  errors_dir: str | None = None,
                  constraints: list | None = None,
+                 absent_columns: dict[str, list[str]] | None = None,
                  purged_urls: list | None = None):
         # One stage runs per 1-CPU Ray task, but pyarrow's internal
         # thread pool defaults to the MACHINE cpu count — N tasks x
@@ -673,6 +686,7 @@ class ExtractCombineSpill:
         self._wire_schema = wire_schema
         self._errors_dir = errors_dir
         self._constraints = constraints
+        self._absent_columns = absent_columns
         self._purged = purged_value_set(purged_urls)
 
     def rows(self, winners: pa.Table) -> pa.Table:
@@ -712,7 +726,8 @@ class ExtractCombineSpill:
         out: list[pa.Table] = []
         if self._errors_dir is not None:
             for check in (quarantine_bad_rows,
-                          lambda b: check_constraints(b, self._constraints)):
+                          lambda b: check_constraints(
+                              b, self._constraints, self._absent_columns)):
                 batch, err, raw = check(batch)
                 if err is not None:
                     path = write_dead_letters(self._errors_dir, err, raw)
@@ -806,13 +821,13 @@ class PartitionMerger:
         off the ingest path."""
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
-        from ..state.iofs import file_exists, file_size, parquet_file, write_table_atomic
+        from ..state.iofs import file_exists, file_size, write_table_atomic
 
         rel = partition_delta_relpath(part, self._token)
         out_path = os.path.join(self._lake_dir, rel)
         if file_exists(out_path):
             # partition-level resume, same contract as the CoW branch
-            meta = parquet_file(out_path)
+            meta = pq.ParquetFile(out_path)
             return {
                 "part": part, "path": rel,
                 "rows": meta.metadata.num_rows,
@@ -851,12 +866,12 @@ class PartitionMerger:
         # file IS this merge's complete result from a previous attempt
         # of the same micro-batch — skip the rework (per-partition
         # checkpoint granularity on batch retry).
-        from ..state.iofs import file_exists, file_size, parquet_file, read_table, write_table_atomic
+        from ..state.iofs import file_exists, file_size, write_table_atomic
 
         rel = partition_file_relpath(part, self._token)
         out_path = os.path.join(self._lake_dir, rel)
         if file_exists(out_path):
-            meta = parquet_file(out_path)
+            meta = pq.ParquetFile(out_path)
             done = meta.read(columns=[DELETED_COL]) if DELETED_COL in [
                 f.name for f in meta.schema_arrow
             ] else None
@@ -885,14 +900,14 @@ class PartitionMerger:
         base_rel = self._base_partitions.get(part)
         pieces = []
         if base_rel is not None:
-            base = read_table(os.path.join(self._lake_dir, base_rel))
+            base = pq.read_table(os.path.join(self._lake_dir, base_rel))
             pieces.append(
                 conform_table(apply_renames(base, self._renames),
                               self._lake_schema)
             )
         for rel in self._base_deltas.get(part, ()):
             # pending MOR deltas fold into this rewrite (auto-compact)
-            t = read_table(os.path.join(self._lake_dir, rel))
+            t = pq.read_table(os.path.join(self._lake_dir, rel))
             pieces.append(
                 conform_table(apply_renames(t, self._renames),
                               self._lake_schema)

@@ -291,25 +291,14 @@ def branch_dir(lake_dir: str, name: str) -> str:
 
 def list_branches(lake_dir: str, *, store: Store | None = None) -> list[str]:
     """Names of branches with a committed manifest, sorted."""
+    from .iofs import list_subdirs
+
     root = os.path.join(lake_dir, BRANCHES_DIR)
     store = store if store is not None else resolve_store(lake_dir)
-    if lake_dir.startswith("objstore://"):
-        from .objstore import _actor, _call, split_objstore_path
-
-        sname, key = split_objstore_path(root)
-        names = [
-            k.rstrip("/").rsplit("/", 1)[-1]
-            for k in _call(_actor(sname), "list_prefix", key)
-            if k.endswith("/")
-        ]
-    elif os.path.isdir(root):
-        names = os.listdir(root)
-    else:
-        return []
-    return sorted(
-        name for name in names
+    return [
+        name for name in list_subdirs(root)
         if store.exists(manifest_path(os.path.join(root, name)))
-    )
+    ]
 
 
 def _branch_pinned_relpaths(
@@ -650,8 +639,6 @@ def writer_lock(
     crashed without releasing (leases bound the outage a dead writer
     can cause on shared storage, where no advisory flock exists)."""
     store = resolve_store(lake_dir)
-    if not lake_dir.startswith("objstore://"):
-        os.makedirs(lake_dir, exist_ok=True)
     # lock_name scopes INDEPENDENT critical sections (e.g. the DLQ
     # redrive serializes its file shuffle under its own lease while the
     # inner commit still takes the main writer lock — different files,

@@ -1,33 +1,34 @@
 r"""Storage seam for the commit path: the small set of primitives the
-manifest/lock/view publish protocol needs, with a POSIX implementation
-and a rename-free CAS implementation.
+manifest/lock/view publish protocol needs, with a POSIX implementation,
+an S3 implementation and an in-memory CAS implementation.
 
 The reference commits its state to S3 (one JSON object re-written per
 file, ``ejp_xml_pipeline/data_store/s3_data_service.py:26-39``) and its
-data the same way; this engine's atomicity story was, until round 4,
-POSIX-only (``tmp + fsync + os.replace``). ``os.replace`` does not
-exist on object stores, so every metadata publish now goes through a
-:class:`Store` whose contract is implementable on BOTH:
+data the same way. ``os.replace`` does not exist on object stores, so
+every metadata publish goes through a :class:`Store` whose contract is
+implementable on BOTH:
 
-===================  =========================  =========================
-primitive            POSIX (LocalFsStore)       object store mapping
-===================  =========================  =========================
-``get_bytes``        open+read                  GET
-``put_atomic``       tmp + fsync + rename       PUT (a PUT is atomic at
-                                                object granularity —
-                                                readers see old or new
-                                                bytes, never torn)
-``put_if_absent``    ``O_CREAT|O_EXCL``         conditional PUT
-                                                ``If-None-Match: *``
-``replace_if_\       rename-to-unique +         conditional PUT
-matches``            content check (single      ``If-Match: <etag read
-                     winner)                    with the expected bytes>``
-``delete`` /         unlink                     DELETE (conditional
-``delete_if_\                                   DELETE / If-Match where
-matches``                                       offered, else
-                                                read-verify-delete)
-``list_prefix``      listdir                    LIST prefix
-===================  =========================  =========================
+===================  =========================  ===========================
+primitive            POSIX (LocalFsStore)       S3 call (S3Store, boto3)
+===================  =========================  ===========================
+``get_bytes``        open+read                  ``get_object``
+``put_atomic``       tmp + fsync + rename       ``put_object`` (atomic at
+                                                object granularity)
+``put_if_absent``    ``O_CREAT|O_EXCL``         ``put_object(IfNoneMatch=
+                                                "*")``
+``replace_if_\       rename-to-unique +         ``get_object``, compare the
+matches``            content check (single      body, ``put_object(IfMatch=
+                     winner)                    <that GET's ETag>)``
+``delete``           unlink                     ``head_object`` +
+                                                ``delete_object``
+``delete_if_\        rename-claim + content     ``get_object``, compare,
+matches``            check                      ``delete_object(IfMatch=
+                                                <that GET's ETag>)``
+``exists`` /         stat                       ``head_object``
+``size``
+``list_prefix``      listdir                    ``list_objects_v2``
+                                                (``Delimiter="/"``)
+===================  =========================  ===========================
 
 The commit protocol built on these (``checkpoint.commit_manifest``) is
 rename-free end to end: the immutable per-version snapshot is the CAS
@@ -38,6 +39,12 @@ zombie writer can never regress the pointer over a successor's commit.
 Readers that want to avoid trusting the pointer entirely can resolve
 "current" as ``max(list_versions())`` — snapshots are immutable and
 content-complete.
+
+S3 lake paths are ``s3://<bucket>/<key>``. The endpoint, credentials
+and region come from the standard ``AWS_*`` environment (for a local
+S3-compatible server, ``AWS_ENDPOINT_URL``), which boto3 and pyarrow
+both read, so Ray workers started with that environment reach the same
+bucket as the driver.
 
 Data-plane files (partition parquet, spill row groups) intentionally
 stay plain-path writes: they are immutable and content-addressed by a
@@ -303,25 +310,176 @@ class InMemoryCASStore(Store):
             )
 
 
-#: process-wide default — every existing call site that does not pass a
-#: store keeps its exact POSIX behavior
-LOCAL_STORE = LocalFsStore()
+S3_SCHEME = "s3://"
 
-_RAY_OBJECT_STORE = None
+
+def is_s3_path(path: str) -> bool:
+    return isinstance(path, str) and path.startswith(S3_SCHEME)
+
+
+def split_s3_path(path: str) -> tuple[str, str]:
+    """``s3://bucket/a/b`` -> ``("bucket", "a/b")``."""
+    bucket, _, key = path[len(S3_SCHEME):].partition("/")
+    if not bucket:
+        raise ValueError(f"s3 path missing a bucket: {path!r}")
+    return bucket, key
+
+
+class S3Store(Store):
+    """``s3://<bucket>/<key>`` over a lazily built, process-local boto3
+    client. Conditional writes are S3's own ``If-None-Match`` /
+    ``If-Match`` preconditions, so single-winner arbitration happens at
+    the bucket. The compare-and-swap ops GET first and condition on
+    that GET's ETag rather than on an MD5 of ``expected`` (an ETag is
+    not the MD5 of the body under SSE-KMS or multipart uploads)."""
+
+    #: error codes meaning "the precondition no longer holds": another
+    #: writer won the race, or the key vanished between GET and write
+    _LOST_RACE = frozenset(
+        {"PreconditionFailed", "ConditionalRequestConflict", "NoSuchKey"}
+    )
+
+    def __init__(self) -> None:
+        self._client = None
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        # a client never crosses a process boundary: unpickling resolves
+        # the receiving process's own store
+        return (resolve_store, (S3_SCHEME,))
+
+    def _s3(self):
+        if self._client is None:
+            with self._lock:  # boto3 client creation is not thread-safe
+                if self._client is None:
+                    import boto3
+
+                    self._client = boto3.session.Session().client("s3")
+        return self._client
+
+    def _call(self, op: str, path: str, **kwargs):
+        bucket, key = split_s3_path(path)
+        return getattr(self._s3(), op)(Bucket=bucket, Key=key, **kwargs)
+
+    def _get(self, path: str) -> tuple[bytes, str]:
+        """(body, ETag); FileNotFoundError when absent."""
+        from botocore.exceptions import ClientError
+
+        try:
+            r = self._call("get_object", path)
+        except ClientError as e:
+            if e.response["Error"]["Code"] == "NoSuchKey":
+                raise FileNotFoundError(path) from None
+            raise
+        return r["Body"].read(), r["ETag"]
+
+    def _head(self, path: str) -> int | None:
+        """Object size, or None when absent."""
+        from botocore.exceptions import ClientError
+
+        try:
+            return self._call("head_object", path)["ContentLength"]
+        except ClientError as e:
+            if e.response["Error"]["Code"] in ("404", "NoSuchKey"):
+                return None
+            raise
+
+    def _conditional(self, op: str, path: str, **kwargs) -> bool:
+        from botocore.exceptions import ClientError
+
+        try:
+            self._call(op, path, **kwargs)
+            return True
+        except ClientError as e:
+            if e.response["Error"]["Code"] in self._LOST_RACE:
+                return False
+            raise
+
+    def _etag_if_matches(self, path: str, expected: bytes) -> str | None:
+        try:
+            body, etag = self._get(path)
+        except FileNotFoundError:
+            return None
+        return etag if body == expected else None
+
+    def get_bytes(self, path: str) -> bytes:
+        return self._get(path)[0]
+
+    def put_atomic(self, path: str, data: bytes) -> None:
+        self._call("put_object", path, Body=data)
+
+    def put_if_absent(self, path: str, data: bytes) -> bool:
+        return self._conditional("put_object", path, Body=data, IfNoneMatch="*")
+
+    def replace_if_matches(self, path: str, expected: bytes, data: bytes) -> bool:
+        etag = self._etag_if_matches(path, expected)
+        return etag is not None and self._conditional(
+            "put_object", path, Body=data, IfMatch=etag
+        )
+
+    def delete(self, path: str) -> bool:
+        # S3 DELETE answers 204 whether or not the key existed: HEAD
+        # first so callers still learn "was absent"
+        if self._head(path) is None:
+            return False
+        self._call("delete_object", path)
+        return True
+
+    def delete_if_matches(self, path: str, expected: bytes) -> bool:
+        etag = self._etag_if_matches(path, expected)
+        return etag is not None and self._conditional(
+            "delete_object", path, IfMatch=etag
+        )
+
+    def exists(self, path: str) -> bool:
+        return self._head(path) is not None
+
+    def size(self, path: str) -> int:
+        n = self._head(path)
+        if n is None:
+            raise FileNotFoundError(path)
+        return n
+
+    def list_objects(
+        self, prefix: str, *, recursive: bool = False
+    ) -> tuple[list[tuple[str, int]], list[str]]:
+        """``([(url, size)...], [subdir names...])`` under a
+        directory-like prefix, both sorted. Non-recursive lists with
+        ``Delimiter="/"``: immediate objects, plus the names of the
+        pseudo-directories below them."""
+        bucket, key = split_s3_path(prefix)
+        pre = key.rstrip("/") + "/" if key else ""
+        kwargs = {"Bucket": bucket, "Prefix": pre}
+        if not recursive:
+            kwargs["Delimiter"] = "/"
+        files: list[tuple[str, int]] = []
+        dirs: list[str] = []
+        pages = self._s3().get_paginator("list_objects_v2").paginate(**kwargs)
+        for page in pages:
+            files += [
+                (f"{S3_SCHEME}{bucket}/{o['Key']}", o["Size"])
+                for o in page.get("Contents", ())
+            ]
+            dirs += [
+                p["Prefix"][len(pre):].rstrip("/")
+                for p in page.get("CommonPrefixes", ())
+            ]
+        return sorted(files), sorted(dirs)
+
+    def list_prefix(self, prefix: str) -> list[str]:
+        return [url for url, _ in self.list_objects(prefix)[0]]
+
+
+#: process-wide defaults — every call site that does not pass a store
+#: keeps its exact POSIX behavior
+LOCAL_STORE = LocalFsStore()
+S3_STORE = S3Store()
 
 
 def resolve_store(path: str) -> Store:
     """Route a lake path to its storage backend by URL scheme:
-    ``objstore://<store>/<key>`` -> the Ray-actor bucket emulator
-    (:mod:`.objstore` — the S3-semantics backend), anything else ->
+    ``s3://<bucket>/<key>`` -> :data:`S3_STORE`, anything else ->
     :data:`LOCAL_STORE`. Every metadata call site resolves through
-    here, so pointing ``lake_dir`` at a store URL moves the WHOLE
+    here, so pointing ``lake_dir`` at an ``s3://`` URL moves the WHOLE
     commit protocol onto the object store with no other change."""
-    if isinstance(path, str) and path.startswith("objstore://"):
-        global _RAY_OBJECT_STORE
-        if _RAY_OBJECT_STORE is None:
-            from .objstore import RayObjectStore
-
-            _RAY_OBJECT_STORE = RayObjectStore()
-        return _RAY_OBJECT_STORE
-    return LOCAL_STORE
+    return S3_STORE if is_s3_path(path) else LOCAL_STORE

@@ -1,20 +1,29 @@
+import os
+
 import pytest
 import ray
+
+from data_hub_ejp_xml_pipeline_ray.pipelines.queries import local_s3
 
 
 @pytest.fixture(scope="session", autouse=True)
 def ray_session():
-    ray.init(
-        address="local",
-        num_cpus=4,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
-    ctx = ray.data.DataContext.get_current()
-    ctx.enable_progress_bars = False
-    yield
-    ray.shutdown()
+    # one moto S3 server for the whole session; its AWS_* environment is
+    # exported BEFORE ray.init because Ray workers only inherit the
+    # environment the session starts with
+    with local_s3() as env:
+        os.environ.update(env)
+        ray.init(
+            address="local",
+            num_cpus=4,
+            include_dashboard=False,
+            ignore_reinit_error=True,
+            logging_level="ERROR",
+        )
+        ctx = ray.data.DataContext.get_current()
+        ctx.enable_progress_bars = False
+        yield
+        ray.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,18 @@
-"""Object-store backend: the S3-semantics bucket actor must carry the
-SAME commit protocol as POSIX (contract suite), serve parquet data via
-ranged GETs, and run a full CDC ingest end-to-end with ``lake_dir`` on
-the non-POSIX store — including crash/resume convergence under
-injected mutation faults. Reference analog: the S3 storage layer at
+"""Object-store backend: an ``s3://`` lake against a local moto server
+(started by ``conftest.ray_session``) must carry the SAME commit
+protocol as POSIX (contract suite), serve parquet data through
+pyarrow's S3 filesystem, and run a full CDC ingest end-to-end with
+``lake_dir`` in the bucket — including crash/resume convergence under
+faults injected into the driver's commit protocol. Reference analog:
+the S3 storage layer at
 ``ejp_xml_pipeline/data_store/s3_data_service.py:8-60``."""
+import json
 import os
 import uuid
 
+import boto3
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 
@@ -18,6 +23,7 @@ from data_hub_ejp_xml_pipeline_ray.pipelines.cdc import (
     run_ingest,
 )
 from data_hub_ejp_xml_pipeline_ray.sources.synthetic import generate_wal
+from data_hub_ejp_xml_pipeline_ray.state import checkpoint
 from data_hub_ejp_xml_pipeline_ray.state.checkpoint import (
     ConcurrentWriterError,
     LakeManifest,
@@ -26,26 +32,46 @@ from data_hub_ejp_xml_pipeline_ray.state.checkpoint import (
     load_manifest,
     writer_lock,
 )
-from data_hub_ejp_xml_pipeline_ray.state.objstore import (
-    ObjStoreFileSystem,
-    ensure_object_store,
-    pyarrow_fs,
-)
 from data_hub_ejp_xml_pipeline_ray.state.store import (
     InjectedFault,
+    S3Store,
     resolve_store,
 )
 
 
 @pytest.fixture
 def bucket(ray_session):
-    """A fresh named bucket actor per test (killed at teardown so the
-    detached actor never leaks state across tests)."""
-    name = f"b{uuid.uuid4().hex[:10]}"
-    handle = ensure_object_store(name)
-    ray.get(handle.stats.remote())  # materialize before use
-    yield name, handle
-    ray.kill(handle)
+    """A fresh bucket per test on the session's moto server."""
+    name = f"b-{uuid.uuid4().hex[:12]}"
+    boto3.client("s3").create_bucket(Bucket=name)
+    return name
+
+
+class CrashingStore:
+    """Test-side wrapper around an :class:`S3Store`: the (n+1)-th
+    mutating call raises :class:`InjectedFault` before it reaches the
+    bucket, simulating the writer process dying between two storage
+    calls of the commit protocol. Reads pass through."""
+
+    MUTATORS = {"put_atomic", "put_if_absent", "replace_if_matches",
+                "delete", "delete_if_matches"}
+
+    def __init__(self, fail_after: int):
+        self.inner = S3Store()
+        self.left = fail_after
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name not in self.MUTATORS:
+            return attr
+
+        def mutate(*args):
+            if self.left == 0:
+                raise InjectedFault(f"injected crash before {name}")
+            self.left -= 1
+            return attr(*args)
+
+        return mutate
 
 
 def _manifest(version, wm, parts):
@@ -55,13 +81,13 @@ def _manifest(version, wm, parts):
 
 
 # ---------------------------------------------------------------------------
-# Store contract / commit protocol on the bucket actor
+# Store contract / commit protocol on S3
 # ---------------------------------------------------------------------------
 
 def test_store_primitives(bucket):
-    name, _ = bucket
-    store = resolve_store(f"objstore://{name}/x")
-    p = f"objstore://{name}/a/b.json"
+    store = resolve_store(f"s3://{bucket}/x")
+    assert isinstance(store, S3Store)
+    p = f"s3://{bucket}/a/b.json"
     assert not store.exists(p)
     with pytest.raises(FileNotFoundError):
         store.get_bytes(p)
@@ -72,55 +98,40 @@ def test_store_primitives(bucket):
     assert not store.replace_if_matches(p, b"stale", b"x")  # If-Match
     assert store.replace_if_matches(p, b"one", b"three")
     assert store.get_bytes(p) == b"three"
-    assert store.list_prefix(f"objstore://{name}/a") == [p]
+    assert store.list_prefix(f"s3://{bucket}/a") == [p]
     assert not store.delete_if_matches(p, b"wrong")
     assert store.delete_if_matches(p, b"three")
     assert not store.exists(p)
-    assert store.delete(p) is False
+    assert store.delete(p) is False  # S3 DELETE is 204 either way
+    store.put_atomic(p, b"four")
+    assert store.delete(p) is True
 
 
-def test_threaded_actor_conditionals_single_winner(bucket):
-    """The bucket actor runs THREADED (out-of-order dispatch sidesteps
-    Ray's per-caller seq_no ordering stall) — conditional-write
-    atomicity therefore rests on its internal lock: hammer each
-    conditional from parallel Ray tasks, exactly one winner each."""
-    name, _ = bucket
+def test_conditionals_single_winner_under_16way_race(bucket):
+    """Conditional-write arbitration happens at the bucket: hammer each
+    conditional from 16 parallel Ray tasks (each worker process builds
+    its own boto3 client), exactly one winner each."""
+    key = f"s3://{bucket}/race/key"
 
-    @ray.remote(num_cpus=0)
-    def race_create(i):
-        return resolve_store("objstore://x").put_if_absent(
-            f"objstore://{name}/race/key", f"w{i}".encode()
-        )
+    def race(op, args):
+        @ray.remote(num_cpus=0)
+        def one(i):
+            return getattr(resolve_store(key), op)(key, *args(i))
 
-    wins = ray.get([race_create.remote(i) for i in range(16)])
-    assert sum(wins) == 1
-    store = resolve_store(f"objstore://{name}/x")
-    base = store.get_bytes(f"objstore://{name}/race/key")
+        return sum(ray.get([one.remote(i) for i in range(16)]))
 
-    @ray.remote(num_cpus=0)
-    def race_swap(i):
-        return resolve_store("objstore://x").replace_if_matches(
-            f"objstore://{name}/race/key", base, f"s{i}".encode()
-        )
-
-    wins = ray.get([race_swap.remote(i) for i in range(16)])
-    assert sum(wins) == 1
-    cur = store.get_bytes(f"objstore://{name}/race/key")
-
-    @ray.remote(num_cpus=0)
-    def race_delete(i):
-        return resolve_store("objstore://x").delete_if_matches(
-            f"objstore://{name}/race/key", cur
-        )
-
-    wins = ray.get([race_delete.remote(i) for i in range(16)])
-    assert sum(wins) == 1
-    assert not store.exists(f"objstore://{name}/race/key")
+    assert race("put_if_absent", lambda i: (f"w{i}".encode(),)) == 1
+    store = resolve_store(key)
+    base = store.get_bytes(key)
+    assert race("replace_if_matches", lambda i: (base, f"s{i}".encode())) == 1
+    cur = store.get_bytes(key)
+    assert cur != base
+    assert race("delete_if_matches", lambda i: (cur,)) == 1
+    assert not store.exists(key)
 
 
 def test_commit_chain_and_cas_on_objstore(bucket):
-    name, _ = bucket
-    lake = f"objstore://{name}/lake"
+    lake = f"s3://{bucket}/lake"
     for v in range(1, 4):
         commit_manifest(
             lake, _manifest(v, f"seg-{v}", {0: f"data/p{v}.parquet"}),
@@ -137,17 +148,17 @@ def test_commit_chain_and_cas_on_objstore(bucket):
 
 
 def test_crash_between_snapshot_and_pointer_then_retry(bucket):
-    name, handle = bucket
-    lake = f"objstore://{name}/lake"
+    lake = f"s3://{bucket}/lake"
     commit_manifest(
         lake, _manifest(1, "seg-1", {0: "data/p1.parquet"}),
         expected_version=0,
     )
     m2 = _manifest(2, "seg-2", {0: "data/p2.parquet"})
-    ray.get(handle.fail_after.remote(1))
-    with pytest.raises(InjectedFault):
-        commit_manifest(lake, m2, expected_version=1)
-    ray.get(handle.fail_after.remote(None))
+    # the snapshot put lands, the writer dies before the pointer swap
+    with pytest.raises(InjectedFault, match="replace_if_matches"):
+        commit_manifest(lake, m2, expected_version=1,
+                        store=CrashingStore(fail_after=1))
+    assert list_versions(lake) == [1, 2]  # orphan snapshot v2
     assert load_manifest(lake).version == 1  # pointer untouched
     commit_manifest(lake, m2, expected_version=1)
     assert load_manifest(lake).version == 2
@@ -155,8 +166,7 @@ def test_crash_between_snapshot_and_pointer_then_retry(bucket):
 
 
 def test_writer_lock_on_objstore(bucket):
-    name, _ = bucket
-    lake = f"objstore://{name}/lake"
+    lake = f"s3://{bucket}/lake"
     with writer_lock(lake):
         with pytest.raises(ConcurrentWriterError):
             with writer_lock(lake):
@@ -167,46 +177,26 @@ def test_writer_lock_on_objstore(bucket):
 
 
 # ---------------------------------------------------------------------------
-# Data plane: fsspec filesystem + parquet over ranged GETs
+# Data plane: parquet through pyarrow's native S3 filesystem
 # ---------------------------------------------------------------------------
 
-def test_fsspec_roundtrip_and_ranged_read(bucket):
-    name, handle = bucket
-    fs = ObjStoreFileSystem()
-    fs.pipe_file(f"{name}/d/blob.bin", b"0123456789")
-    assert fs.cat_file(f"{name}/d/blob.bin") == b"0123456789"
-    assert fs.cat_file(f"{name}/d/blob.bin", start=2, end=5) == b"234"
-    assert fs.info(f"{name}/d/blob.bin")["size"] == 10
-    assert fs.info(f"{name}/d")["type"] == "directory"
-    assert fs.ls(f"{name}/d", detail=False) == [f"{name}/d/blob.bin"]
-    with fs.open(f"{name}/d/blob.bin", "rb") as f:
-        f.seek(4)
-        assert f.read(3) == b"456"
-
-
 def test_parquet_via_pyarrow_fs(bucket):
-    import pyarrow.parquet as pq
-
-    name, handle = bucket
-    t = pa.table({"a": list(range(1000)), "b": ["x"] * 1000})
     from data_hub_ejp_xml_pipeline_ray.state.iofs import (
-        parquet_file,
-        read_table,
+        file_size,
+        list_data_files,
         write_table_atomic,
     )
 
-    path = f"objstore://{name}/data/t.parquet"
+    t = pa.table({"a": list(range(1000)), "b": ["x"] * 1000})
+    path = f"s3://{bucket}/data/t.parquet"
     nbytes = write_table_atomic(t, path)
-    assert nbytes > 0
-    assert read_table(path).equals(t)
-    assert read_table(path, columns=["a"]).column_names == ["a"]
-    pf = parquet_file(path)
-    assert pf.metadata.num_rows == 1000
-    # ray.data read through the actor-backed filesystem
-    from data_hub_ejp_xml_pipeline_ray.state.iofs import read_parquet_dataset
-
-    ds = read_parquet_dataset([path])
-    assert ds.count() == 1000
+    assert nbytes > 0 and file_size(path) == nbytes
+    assert list_data_files(f"s3://{bucket}/data") == [path]
+    assert pq.read_table(path).equals(t)
+    assert pq.read_table(path, columns=["a"]).column_names == ["a"]
+    assert pq.ParquetFile(path).metadata.num_rows == 1000
+    # Ray Data read tasks resolve s3:// from the inherited AWS_* env
+    assert ray.data.read_parquet([path]).count() == 1000
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +211,8 @@ def _wal(tmp_path, **kw):
 
 
 def test_ingest_e2e_on_objstore_matches_posix(bucket, tmp_path):
-    name, _ = bucket
     wal = _wal(tmp_path)
-    obj_lake = f"objstore://{name}/lake"
+    obj_lake = f"s3://{bucket}/lake"
     posix_lake = os.path.join(str(tmp_path), "plake")
     cfg_o = CdcConfig(wal_dir=wal, lake_dir=obj_lake, num_partitions=8)
     rep = run_ingest(cfg_o)
@@ -234,7 +223,7 @@ def test_ingest_e2e_on_objstore_matches_posix(bucket, tmp_path):
     a = lake_snapshot(obj_lake)
     b = lake_snapshot(posix_lake)
     assert a.equals(b)
-    # streaming read through the actor filesystem
+    # streaming read through pyarrow's S3 filesystem
     assert read_lake(obj_lake).count() == a.num_rows
     # incremental follow-up commit + retention GC on the store
     generate_wal(wal, seed=78, n_urls=120, n_events=500, n_segments=1,
@@ -250,17 +239,28 @@ def test_ingest_e2e_on_objstore_matches_posix(bucket, tmp_path):
         assert file_exists(f"{obj_lake}/{rel}")
 
 
-def test_ingest_crash_resume_on_objstore(bucket, tmp_path):
-    name, handle = bucket
+def test_ingest_crash_resume_on_objstore(bucket, tmp_path, monkeypatch):
     wal = _wal(tmp_path)
-    obj_lake = f"objstore://{name}/lake"
+    obj_lake = f"s3://{bucket}/lake"
     cfg = CdcConfig(wal_dir=wal, lake_dir=obj_lake, num_partitions=8,
                     max_segments_per_batch=1)
-    # crash after a handful of bucket mutations (mid multi-commit run)
-    ray.get(handle.fail_after.remote(12))
-    with pytest.raises(Exception):
+    # the driver dies inside commit 2's protocol: a commit's metadata
+    # mutations are lock create, snapshot create, pointer swap (+ GC
+    # deletes from commit 3 on), lock release; the 7th is commit 2's
+    # pointer swap. Data files written by Ray tasks are not counted.
+    crashing = CrashingStore(fail_after=6)
+    monkeypatch.setattr(checkpoint, "resolve_store", lambda _p: crashing)
+    with pytest.raises(InjectedFault):  # the lock release fails too
         run_ingest(cfg)
-    ray.get(handle.fail_after.remote(None))
+    monkeypatch.undo()
+    assert load_manifest(obj_lake).version == 1
+    assert list_versions(obj_lake) == [1, 2]  # orphan snapshot v2
+    # the dead writer could not release its lock: expire its lease, as
+    # time would, so the resume breaks it
+    lock = f"{obj_lake}/{checkpoint.LOCK_NAME}"
+    store = resolve_store(lock)
+    doc = json.loads(store.get_bytes(lock))
+    store.put_atomic(lock, json.dumps({**doc, "expires_at": 0}).encode())
     rep = run_ingest(cfg)  # resume from the committed watermark
     assert rep.watermark == sorted(os.listdir(wal))[-1]
     posix_lake = os.path.join(str(tmp_path), "plake")
@@ -282,9 +282,8 @@ def test_maintenance_lifecycle_on_objstore(bucket, tmp_path):
         purge_urls,
     )
 
-    name, _ = bucket
     wal = _wal(tmp_path)
-    obj_lake = f"objstore://{name}/lake"
+    obj_lake = f"s3://{bucket}/lake"
     run_ingest(CdcConfig(wal_dir=wal, lake_dir=obj_lake, num_partitions=8,
                          merge_mode="mor", max_segments_per_batch=1))
     m = load_manifest(obj_lake)
@@ -322,7 +321,7 @@ def test_wal_tail_from_objstore(bucket, tmp_path):
     """The reference tails S3 directly (S3HookNewFileMonitor): with the
     WAL segments in the bucket too, the tailer lists the prefix (sizes
     come with the keys, like an S3 LIST), watermark-filters, reads the
-    segments through the actor filesystem, and commits — both ends of
+    segments through pyarrow's S3 filesystem, and commits — both ends of
     the pipeline on the object store, final state equal to the
     all-POSIX run."""
     from data_hub_ejp_xml_pipeline_ray.sources.wal import (
@@ -331,15 +330,14 @@ def test_wal_tail_from_objstore(bucket, tmp_path):
     )
     from data_hub_ejp_xml_pipeline_ray.state.iofs import copy_file
 
-    name, _ = bucket
     local_wal = _wal(tmp_path)
-    obj_wal = f"objstore://{name}/wal"
+    obj_wal = f"s3://{bucket}/wal"
     for seg in sorted(os.listdir(local_wal)):
         copy_file(os.path.join(local_wal, seg), f"{obj_wal}/{seg}")
     segs = list_segments(obj_wal)
     assert [s.name for s in segs] == sorted(os.listdir(local_wal))
     assert all(s.size_bytes > 0 for s in segs)
-    obj_lake = f"objstore://{name}/lake"
+    obj_lake = f"s3://{bucket}/lake"
     rep = run_ingest(CdcConfig(wal_dir=obj_wal, lake_dir=obj_lake,
                                num_partitions=8))
     assert rep.commits == 1 and rep.events_applied == 1500
@@ -359,9 +357,8 @@ def test_predicate_dml_on_objstore(bucket, tmp_path):
     and the merge-on-read scan hides the rows — same law as POSIX."""
     from data_hub_ejp_xml_pipeline_ray.pipelines.dml import delete_where
 
-    name, _ = bucket
     wal = _wal(tmp_path)
-    obj_lake = f"objstore://{name}/lake"
+    obj_lake = f"s3://{bucket}/lake"
     run_ingest(CdcConfig(wal_dir=wal, lake_dir=obj_lake, num_partitions=8))
     before = lake_snapshot(obj_lake)
     langs = set(before.column("lang").to_pylist())
@@ -376,7 +373,7 @@ def test_predicate_dml_on_objstore(bucket, tmp_path):
 def test_consumers_on_objstore(bucket, tmp_path):
     """Downstream consumer stores live in the bucket too: incremental
     view, replica table, and both maintained dedup indexes keep their
-    state + parquet in objstore:// dirs, refreshed from an objstore
+    state + parquet in s3:// dirs, refreshed from an objstore
     lake's change feed — every result equal to the POSIX twin."""
     from data_hub_ejp_xml_pipeline_ray.pipelines.dedup_index import (
         fsck_index,
@@ -392,25 +389,24 @@ def test_consumers_on_objstore(bucket, tmp_path):
         sync_replica,
     )
 
-    name, _ = bucket
     wal = _wal(tmp_path)
-    obj_lake = f"objstore://{name}/lake"
+    obj_lake = f"s3://{bucket}/lake"
     posix_lake = os.path.join(str(tmp_path), "plake")
     run_ingest(CdcConfig(wal_dir=wal, lake_dir=obj_lake, num_partitions=8))
     run_ingest(CdcConfig(wal_dir=wal, lake_dir=posix_lake, num_partitions=8))
 
-    ov, pv = f"objstore://{name}/view", os.path.join(str(tmp_path), "pview")
+    ov, pv = f"s3://{bucket}/view", os.path.join(str(tmp_path), "pview")
     refresh_live_counts(obj_lake, ov)
     refresh_live_counts(posix_lake, pv)
     assert read_view(ov).equals(read_view(pv))
 
-    orp = f"objstore://{name}/replica"
+    orp = f"s3://{bucket}/replica"
     prp = os.path.join(str(tmp_path), "preplica")
     sync_replica(obj_lake, orp)
     sync_replica(posix_lake, prp)
     assert lake_snapshot(orp).equals(lake_snapshot(prp))
 
-    oi, pi = f"objstore://{name}/idx", os.path.join(str(tmp_path), "pidx")
+    oi, pi = f"s3://{bucket}/idx", os.path.join(str(tmp_path), "pidx")
     refresh_dedup_index(obj_lake, oi)
     refresh_dedup_index(posix_lake, pi)
     at = index_pairs(oi).take_all()
@@ -418,18 +414,7 @@ def test_consumers_on_objstore(bucket, tmp_path):
     assert sorted((r["key"], r["url"]) for r in at) == sorted(
         (r["key"], r["url"]) for r in bt
     )
-    osim = f"objstore://{name}/sim"
+    osim = f"s3://{bucket}/sim"
     refresh_simhash_index(obj_lake, osim)
     assert fsck_index(oi)["ok"]
     assert fsck_index(osim)["ok"]
-
-
-def test_latency_injection_still_correct(bucket, tmp_path):
-    name, handle = bucket
-    ray.get(handle.set_latency.remote(0.002))
-    wal = _wal(tmp_path)
-    obj_lake = f"objstore://{name}/lake"
-    rep = run_ingest(CdcConfig(wal_dir=wal, lake_dir=obj_lake,
-                               num_partitions=4))
-    assert rep.commits == 1
-    assert read_lake(obj_lake, columns=["url"]).count() > 0

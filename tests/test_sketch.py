@@ -210,7 +210,7 @@ def test_value_quantiles_tdigest_close_to_exact_sibling():
 
 def test_bloom_no_false_negatives_and_fp_bound():
     from data_hub_ejp_xml_pipeline_ray.functions.sketch import (
-        bloom_add, bloom_contains, bloom_empty, bloom_merge, bloom_sizes,
+        bloom_add, bloom_contains, bloom_empty, bloom_sizes,
     )
 
     rng = np.random.default_rng(7)
@@ -220,10 +220,6 @@ def test_bloom_no_false_negatives_and_fp_bound():
     bits = bloom_add(bloom_empty(bloom_sizes(items.size)), items)
     assert bloom_contains(bits, items).all()  # never a false negative
     assert bloom_contains(bits, other).mean() < 0.03
-    # merge law: partial blooms OR into the bloom of the union
-    b1 = bloom_add(bloom_empty(bloom_sizes(items.size)), items[:20_000])
-    b2 = bloom_add(bloom_empty(bloom_sizes(items.size)), items[20_000:])
-    assert (bloom_merge(b1, b2) == bits).all()
 
 
 def test_decontaminate_bloom_equals_exact_sibling():
