@@ -1,18 +1,18 @@
 """The CDC ingest loop: WAL tail -> extract -> LWW merge -> commit.
 
-Ray-Data-native re-expression of the reference's lifecycle
+Ray-native re-expression of the reference's lifecycle
 (``dags/s3_xml_import_pipeline.py`` sensor -> discover -> per-file ETL ->
 stage -> load -> advance watermark; traced in SURVEY §3): the per-file
-sequential Python loop becomes a streaming Dataset pipeline —
+sequential Python loop becomes two waves of plain Ray tasks —
 
-    read_parquet(segments > watermark)            # schema-unified tail
-      -> map_batches(ExtractCombineSpill, tasks)   # FUSED map side:
-               #  conform/purge/exclude/quarantine + local LWW combine
-               #  (skew defense) + HTML->text extract (drops html) +
-               #  crc32(url) % P split + per-partition row-group spill
-               #  == push-based shuffle to storage
-      -> per-partition PartitionMerger tasks       # reduce side: base + deltas
-               #  -> LWW -> immutable content-addressed partition file
+    segments > watermark (footers: unified wire schema, row counts)
+      -> one _spill_segment task per segment        # FUSED map side:
+               #  read + conform/purge/exclude/quarantine + local LWW
+               #  combine (skew defense) + HTML->text extract (drops
+               #  html) + crc32(url) % P split + per-partition row-group
+               #  spill == push-based shuffle to storage
+      -> _merge_partitions tasks (<= 1 per CPU)      # reduce side: base +
+               #  deltas -> LWW -> immutable content-addressed file
       -> driver: atomic manifest commit            # exactly-once
 
 The exchange spills to storage rather than using Ray's sort-based
@@ -21,6 +21,11 @@ range sort on it collapses the reduce side to ~1 task (measured 47 s of
 a 52 s ingest); the staged exchange is FS-bandwidth-bound and keeps
 partition->file routing stable across runs. The driver never sees data
 rows — only tiny per-partition stats; nothing materializes the dataset.
+Both waves are plain tasks, not Datasets: the work list is a fixed set
+of independent segments and partitions, and a Dataset launch costs more
+than a trickle commit's whole extract: a 1 500-row segment through a
+one-block ``read_parquet -> map_batches -> take_all`` takes 0.07 s, one
+task doing the same work 0.008 s (medians of 20, 4 logical CPUs).
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
+from ray.exceptions import RaySystemError
 
 from ..schemas import WIRE_ONLY_COLUMNS, merge_schemas, unify_many
 from ..sources import wal as wal_source
@@ -196,6 +202,63 @@ def _gc_stale_staging(staging_root: str) -> None:
         pass
 
 
+#: Phase 1 runs one task per segment; only while a batch has fewer
+#: segments than CPUs is a segment cut into row slices of at least this
+#: many rows. Whole segments win when they are many (1.2M events / 64
+#: segments / 32 CPUs: 64 tasks 4.8 s, 96 partial-file blocks 6.0 s),
+#: slices when they are few (one 60k-row segment, 4 CPUs: 0.32 s as 4
+#: slices, 0.78 s as one task). A 1 500-event trickle segment stays one
+#: task and one spill file.
+MIN_SLICE_ROWS = 15_000
+
+#: Ray Data's own task options (``ray.data._internal.remote_fn``): a
+#: task lost with its worker or node is retried without limit, and
+#: placement is Ray's default locality-aware policy.
+_TASK_OPTIONS = dict(
+    num_cpus=1,
+    max_retries=-1,
+    retry_exceptions=[RaySystemError],
+    scheduling_strategy="DEFAULT",
+)
+
+
+@ray.remote(**_TASK_OPTIONS)
+def _spill_segment(stage, seg, rows) -> pa.Table:
+    """Phase-1 task: read one segment (or a row slice of it) and run the
+    lane's fused stage over it; returns the spill-manifest rows. The
+    stage is built per task: its state is a regex string, a purge value
+    set and paths (~0.03 ms)."""
+    spill_cls, stage_kwargs = stage
+    return spill_cls(**stage_kwargs)(wal_source.read_segment(seg, rows))
+
+
+# 3 retries, not -1: a merge that always kills its worker (say, out of
+# memory on a large base plus MOR deltas) must fail the commit, not hang.
+@ray.remote(**{**_TASK_OPTIONS, "max_retries": 3})
+def _merge_partitions(merger: PartitionMerger, parts: list) -> list:
+    """Phase-2 task: merge a group of partitions, one stats row each."""
+    return [merger.merge_one(p) for p in parts]
+
+
+def _phase1_plan(
+    segments: list[wal_source.SegmentMeta], rows: list[int], cpus: int
+) -> list[tuple[wal_source.SegmentMeta, tuple[int, int] | None]]:
+    """``(segment, row slice or None)`` per phase-1 task: one task per
+    segment, and while segments are fewer than CPUs, each segment cut
+    into at most ``cpus // len(segments)`` slices of at least
+    :data:`MIN_SLICE_ROWS` rows."""
+    share = cpus // len(segments)
+    plan = []
+    for seg, n in zip(segments, rows):
+        k = max(1, min(share, n // MIN_SLICE_ROWS))
+        if k == 1:
+            plan.append((seg, None))
+            continue
+        cuts = [n * i // k for i in range(k + 1)]
+        plan += [(seg, (a, b)) for a, b in zip(cuts, cuts[1:])]
+    return plan
+
+
 def _ingest_one_batch(
     cfg: CdcConfig, manifest: LakeManifest, segments: list[wal_source.SegmentMeta],
     *, spill_cls=None, lake_schema_fn=None, reduce_fn=None,
@@ -232,29 +295,15 @@ def _ingest_one_batch(
     )
 
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    events_applied = wal_source.segment_row_counts(segments)
-    # block count ALIGNED to the segment count when that already gives
-    # enough parallelism: whole-file read tasks beat Ray's partial-file
-    # splits (measured at 1.2M/64 segments/32 CPUs: 64 blocks 4.8 s vs
-    # 96 blocks 6.0 s — the 96 shape re-reads row groups across tasks);
-    # capped at ~15k rows per task, so a trickle commit doesn't pay 96
-    # read tasks (and 96 spill files) for 150k rows
-    n_segs = len(segments)
-    blocks = min(
-        n_segs if n_segs >= cpus else min(max(cpus * 3, 16), 256),
-        max(8, events_applied // 15_000),
-    )
-    ds = wal_source.read_segments(
-        segments, wire, override_num_blocks=blocks, conform=False,
-        include_paths=True,
-    )
+    seg_rows = [wal_source.segment_row_counts([s]) for s in segments]
+    events_applied = sum(seg_rows)
 
-    # --- Exchange phase 1 (map side): extract + combine + spill, FUSED
-    # into one task stage (stages/merge.ExtractCombineSpill) — a
-    # push-based shuffle to storage instead of Ray's sort exchange
+    # --- Exchange phase 1 (map side): read + extract + combine + spill,
+    # FUSED into one task per segment (stages/merge.ExtractCombineSpill)
+    # — a push-based shuffle to storage instead of Ray's sort exchange
     # (which degenerates on a low-cardinality partition key), and the
-    # extracted text never re-enters the object store. The take_all()
-    # is the phase barrier — only tiny manifest rows reach the driver.
+    # extracted text never re-enters the object store. The ray.get is
+    # the phase barrier — only tiny manifest rows reach the driver.
     if cfg.staging_root:
         staging_root = cfg.staging_root
     elif is_s3_path(cfg.lake_dir):
@@ -306,19 +355,11 @@ def _ingest_one_batch(
         "purged_urls": sorted(list_purged(cfg.lake_dir)) or None,
     }
 
-    # The stage is constructed per batch: its state is a regex string,
-    # a purge value set and paths (~0.03 ms), so plain tasks skip an
-    # actor pool's per-commit start-up and teardown.
-    def spill_task(batch: pa.Table) -> pa.Table:
-        return spill_cls(**stage_kwargs)(batch)
-
-    spilled = ds.map_batches(
-        spill_task,
-        batch_format="pyarrow",
-        batch_size=None,  # whole read block per call
-        zero_copy_batch=True,
-        num_cpus=1,
-    ).take_all()
+    stage_ref = ray.put((spill_cls, stage_kwargs))
+    spilled = pa.concat_tables(ray.get([
+        _spill_segment.remote(stage_ref, seg, rows)
+        for seg, rows in _phase1_plan(segments, seg_rows, cpus)
+    ])).to_pylist()
     phase1_s = _time.perf_counter() - t0
     if trace:
         print(f"[cdc-trace] phase1 {phase1_s:.2f}s", flush=True)
@@ -335,11 +376,6 @@ def _ingest_one_batch(
     touched_parts = sorted(delta_map)
 
     # --- Exchange phase 2 (reduce side): per-partition merge ---------
-    # Raw Ray tasks, not a second Dataset job: the work list is a fixed,
-    # small set of independent per-partition merges (no dataset
-    # semantics needed), and a Dataset launch adds ~1s of fixed wall
-    # time per micro-batch. This is the documented only drop below the
-    # Dataset API (SURVEY §2 custom-operator rule).
     stats: list = []
     if touched_parts:
         merger = PartitionMerger(
@@ -354,11 +390,6 @@ def _ingest_one_batch(
             renames=manifest.renames,
         )
         merger_ref = ray.put(merger)
-
-        @ray.remote(num_cpus=1)
-        def merge_partitions(m, parts: list) -> list:
-            return [m.merge_one(p) for p in parts]
-
         # at most `cpus` tasks: a per-partition merge of a small batch
         # is a tiny delta write, so per-task dispatch would dominate
         group_size = -(-len(touched_parts) // cpus)
@@ -369,7 +400,7 @@ def _ingest_one_batch(
         stats = [
             s
             for chunk in ray.get(
-                [merge_partitions.remote(merger_ref, g) for g in groups]
+                [_merge_partitions.remote(merger_ref, g) for g in groups]
             )
             for s in chunk
         ]

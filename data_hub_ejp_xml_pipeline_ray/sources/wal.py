@@ -11,11 +11,11 @@ strictly greater, exactly like the reference (``:130-133``), with the
 ambiguity the reference accepts for equal timestamps removed because
 segment names are unique and totally ordered.
 
-Reading is schema-aware: segment footers are scanned (metadata only),
-grouped by physical schema, unified with the engine's widen rules
-(:mod:`..schemas`), and each group is conformed to the unified wire
-schema inside ``map_batches`` before ``union`` — schema evolution at
-the read edge.
+Reading is schema-aware: segment footers are scanned (metadata only)
+and unified with the engine's widen rules (:mod:`..schemas`); each
+ingest task reads one segment (or a row slice of it) with
+:func:`read_segment` and conforms it to that unified wire schema —
+schema evolution at the read edge.
 """
 from __future__ import annotations
 
@@ -26,9 +26,7 @@ from dataclasses import dataclass
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray.data
 
-from ..schemas import conform_table, unify_many
 
 SEGMENT_GLOB = "segment-*.parquet"
 #: JSONL wire format (Debezium/Maxwell-style change records). Point
@@ -238,11 +236,6 @@ def segment_schemas(segments: list[SegmentMeta]) -> list[pa.Schema]:
     ]
 
 
-def unified_wire_schema(segments: list[SegmentMeta]) -> pa.Schema:
-    """Unify the physical schemas of the given segments."""
-    return unify_many(segment_schemas(segments))
-
-
 def segment_row_counts(segments: list[SegmentMeta]) -> int:
     """Total raw event rows across segments, driver-side and cheap:
     parquet from the footer (metadata only); jsonl from a streamed
@@ -263,69 +256,34 @@ def segment_row_counts(segments: list[SegmentMeta]) -> int:
     return total
 
 
-def read_segments(
-    segments: list[SegmentMeta],
-    schema: pa.Schema | None = None,
-    override_num_blocks: int | None = None,
-    conform: bool = True,
-    include_paths: bool = False,
-) -> ray.data.Dataset:
-    """Read WAL segments as one Dataset conformed to the unified schema.
+def read_segment(
+    seg: SegmentMeta, rows: tuple[int, int] | None = None
+) -> pa.Table:
+    """One segment's events, or its ``[start, stop)`` row slice, in the
+    segment's own physical schema (the ingest stage conforms them to
+    the batch's unified wire schema), stamped with the ``_src_segment``
+    provenance column (the reference stamps ``source_filename`` per
+    entity, ``ejp_zip.py:66-69``). A slice reads the whole segment and
+    keeps its rows: extraction, not the read, dominates the task."""
+    from pyarrow import json as pa_json
 
-    All segments go into ONE ``read_parquet`` (mixed physical schemas
-    are fine — each block keeps its file's schema) followed by a single
-    parallel ``conform_table`` pass that null-fills added columns and
-    casts declared widens per batch. One read op regardless of how many
-    schema versions are interleaved; no ``union`` (Ray's union operator
-    drains its inputs sequentially, which stalls downstream actor
-    pools — measured ~2x slower than the single-read form).
-    """
-    if not segments:
-        raise ValueError("no segments to read")
-    if schema is None:
-        schema = unified_wire_schema(segments)
-    target = schema
+    from ..state.iofs import open_binary, parquet_source
 
-    pq_segs = [s for s in segments if not _is_jsonl(s)]
-    js_segs = [s for s in segments if _is_jsonl(s)]
-    parts: list[ray.data.Dataset] = []
-    if pq_segs:
-        nb = override_num_blocks
-        if nb is not None and js_segs:
-            nb = max(1, nb * len(pq_segs) // len(segments))
-
-        parts.append(ray.data.read_parquet(
-            [s.path for s in pq_segs],
-            override_num_blocks=nb,
-            include_paths=include_paths,  # per-record provenance (M2)
-        ))
-    if js_segs:
-        nb = override_num_blocks
-        if nb is not None and pq_segs:
-            nb = max(1, nb * len(js_segs) // len(segments))
-        # JSONL wire segments (Debezium-style change records): the
-        # Arrow JSON reader yields string html / ISO-string warc_ts;
-        # the conform pass below (or the fused conform in the spill
-        # actor) casts them to the canonical wire types.
-
-        parts.append(ray.data.read_json(
-            [s.path for s in js_segs],
-            override_num_blocks=nb,
-            include_paths=include_paths,
-        ))
-    # single-format WALs (the common case) stay ONE read op; ``union``
-    # only appears on a genuinely mixed parquet+jsonl batch (its
-    # sequential-drain cost is acceptable for a format migration
-    # window, which is the only way mixed batches arise)
-    ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-    if not conform:
-        # caller conforms per batch inside its own first stage (saves an
-        # operator hop; pass ``schema`` along)
-        return ds
-
-    def conform_fn(batch: pa.Table) -> pa.Table:
-        return conform_table(batch, target)
-
-    return ds.map_batches(
-        conform_fn, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    if _is_jsonl(seg):
+        with open_binary(seg.path) as f:
+            data = f.read()
+        # one parse block for the whole object: no record straddles a
+        # block boundary, and types are inferred over every line
+        table = pa_json.read_json(
+            pa.BufferReader(data),
+            read_options=pa_json.ReadOptions(
+                use_threads=False, block_size=max(len(data), 1 << 20)
+            ),
+        )
+    else:
+        table = pq.ParquetFile(parquet_source(seg.path)).read()
+    if rows is not None:
+        table = table.slice(rows[0], rows[1] - rows[0])
+    return table.append_column(
+        "_src_segment", pa.repeat(pa.scalar(seg.name, pa.string()), table.num_rows)
     )

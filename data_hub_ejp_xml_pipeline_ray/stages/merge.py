@@ -287,17 +287,6 @@ def write_dead_letters(
 #: tombstones once the WAL guarantees no older events remain in flight.
 DELETED_COL = "_deleted"
 
-MERGE_STATS_SCHEMA = pa.schema(
-    [
-        pa.field("part", pa.int64()),
-        pa.field("path", pa.string()),
-        pa.field("rows", pa.int64()),
-        pa.field("bytes", pa.int64()),
-        pa.field("events_applied", pa.int64()),
-        pa.field("tombstones", pa.int64()),
-    ]
-)
-
 
 def _make_crc32_table() -> np.ndarray:
     """Standard reflected CRC-32 (IEEE 802.3, poly 0xEDB88320) lookup
@@ -640,10 +629,12 @@ class ExtractCombineSpill:
     """Fused map-side stage of the PAGE lake, and the base of the entity
     and nested lanes (``stages.entities``). One call per input block:
 
-    1. the shared prelude — stamp ``_src_segment`` provenance, conform
-       to the unified wire schema, drop purged urls, drop urls matching
-       the exclusion pattern, quarantine malformed rows and CHECK
-       violations to ``_errors``, then local LWW (the combiner);
+    1. the shared prelude — conform the block (one segment, or a row
+       slice of one, stamped with its ``_src_segment`` provenance by
+       :func:`..sources.wal.read_segment`) to the unified wire schema,
+       drop purged urls, drop urls matching the exclusion pattern,
+       quarantine malformed rows and CHECK violations to ``_errors``,
+       then local LWW (the combiner);
     2. :meth:`rows`, the lane's row transform of the block's winners
        (here: HTML -> ``text``, ``html`` dropped);
     3. partition split + row-group spill (:class:`SpillCombiner`).
@@ -704,15 +695,6 @@ class ExtractCombineSpill:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        if "path" in batch.column_names:
-            # provenance: source segment basename rides every record to
-            # the lake (the reference stamps source_filename per entity,
-            # ejp_zip.py:66-69; the clock stays confined to manifest
-            # lineage, never merged columns)
-            src = pc.replace_substring_regex(
-                batch.column("path"), pattern=".*/", replacement=""
-            )
-            batch = batch.drop_columns(["path"]).append_column("_src_segment", src)
         if self._wire_schema is not None and not batch.schema.equals(self._wire_schema):
             batch = conform_table(batch, self._wire_schema)
         batch = filter_purged(batch, self._purged)
@@ -866,7 +848,9 @@ class PartitionMerger:
         # file IS this merge's complete result from a previous attempt
         # of the same micro-batch — skip the rework (per-partition
         # checkpoint granularity on batch retry).
-        from ..state.iofs import file_exists, file_size, write_table_atomic
+        from ..state.iofs import (
+            file_exists, file_size, parquet_source, write_table_atomic,
+        )
 
         rel = partition_file_relpath(part, self._token)
         out_path = os.path.join(self._lake_dir, rel)
@@ -900,14 +884,16 @@ class PartitionMerger:
         base_rel = self._base_partitions.get(part)
         pieces = []
         if base_rel is not None:
-            base = pq.read_table(os.path.join(self._lake_dir, base_rel))
+            base = pq.read_table(
+                parquet_source(os.path.join(self._lake_dir, base_rel))
+            )
             pieces.append(
                 conform_table(apply_renames(base, self._renames),
                               self._lake_schema)
             )
         for rel in self._base_deltas.get(part, ()):
             # pending MOR deltas fold into this rewrite (auto-compact)
-            t = pq.read_table(os.path.join(self._lake_dir, rel))
+            t = pq.read_table(parquet_source(os.path.join(self._lake_dir, rel)))
             pieces.append(
                 conform_table(apply_renames(t, self._renames),
                               self._lake_schema)
@@ -935,8 +921,3 @@ class PartitionMerger:
             "bytes": nbytes,
             "events_applied": events_applied, "tombstones": tombstones,
         }
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        """Reduce task: merge every partition id in the batch."""
-        stats = [self.merge_one(int(p)) for p in batch.column("part").to_pylist()]
-        return pa.Table.from_pylist(stats, schema=MERGE_STATS_SCHEMA)

@@ -5,11 +5,13 @@ deletes go through these helpers, so a lake whose ``lake_dir`` is an
 lakes keep their exact local fast path (tmp + fsync + rename
 publishes).
 
-Reads need no helper: ``pyarrow.parquet.read_table``,
+Most reads need no helper: ``pyarrow.parquet.read_table``,
 ``pyarrow.parquet.ParquetFile``, ``ray.data.read_parquet`` and
 ``ray.data.read_json`` resolve ``s3://`` URIs natively (pyarrow's
 ``S3FileSystem``, configured from the standard ``AWS_*`` environment),
-with ranged GETs for footers and column chunks.
+with ranged GETs for footers and column chunks. The ingest path's
+whole-file reads (WAL segments, partition bases and deltas) go through
+:func:`parquet_source` / :func:`open_binary` instead, one GET each.
 
 S3 writes are whole-object ``put_object`` calls through
 :class:`~.store.S3Store`: data files are immutable and content-addressed
@@ -119,6 +121,18 @@ def list_files_sized(dir_path: str) -> list[tuple[str, str, int]]:
         if os.path.isfile(p):
             out.append((n, p, os.path.getsize(p)))
     return out
+
+
+def parquet_source(path: str):
+    """What to hand ``pq.read_table`` / ``pq.ParquetFile`` for a
+    whole-file read: a POSIX path as is, an ``s3://`` object fetched in
+    one GET over the process's boto3 client. pyarrow's own ``s3://``
+    read HEADs the object, then range-GETs footer and data: 30-33 ms
+    for a small parquet object on a local moto server, against 10 ms
+    for the GET and parse."""
+    if is_s3_path(path):
+        return pa.BufferReader(S3_STORE.get_bytes(path))
+    return path
 
 
 def open_binary(path: str):

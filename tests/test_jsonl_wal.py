@@ -14,6 +14,7 @@ from data_hub_ejp_xml_pipeline_ray.pipelines.cdc import (
     lake_snapshot,
     run_ingest,
 )
+from data_hub_ejp_xml_pipeline_ray.schemas import unify_many
 from data_hub_ejp_xml_pipeline_ray.sources.synthetic import (
     generate_wal,
     write_segment_jsonl,
@@ -22,7 +23,7 @@ from data_hub_ejp_xml_pipeline_ray.sources.wal import (
     JSONL_SEGMENT_GLOB,
     list_segments,
     segment_row_counts,
-    unified_wire_schema,
+    segment_schemas,
 )
 
 GEN = dict(seed=7, n_urls=80, n_events=600, n_segments=4, v2_from_segment=2)
@@ -46,8 +47,8 @@ def test_jsonl_schema_is_canonical(twin_wals):
     """Head-sample inference + name canon == the parquet footer schema
     (same unified wire schema from either encoding)."""
     pw, jw = twin_wals
-    ps = unified_wire_schema(list_segments(pw))
-    js = unified_wire_schema(list_segments(jw, JSONL_SEGMENT_GLOB))
+    ps = unify_many(segment_schemas(list_segments(pw)))
+    js = unify_many(segment_schemas(list_segments(jw, JSONL_SEGMENT_GLOB)))
     assert js.equals(ps)
 
 
@@ -95,7 +96,46 @@ def test_mixed_format_migration_window(twin_wals, tmp_path):
         )
     pl, ml = str(tmp_path / "pl"), str(tmp_path / "ml")
     run_ingest(CdcConfig(wal_dir=pw, lake_dir=pl, num_partitions=4))
-    run_ingest(CdcConfig(wal_dir=mixed, lake_dir=ml, num_partitions=4,
-                         segment_glob="segment-*"))
+    r = run_ingest(CdcConfig(wal_dir=mixed, lake_dir=ml, num_partitions=4,
+                             segment_glob="segment-*"))
+    assert r.commits == 1  # one batch holding both formats
     a, b = lake_snapshot(pl), lake_snapshot(ml)
     assert _no_src(a).equals(_no_src(b))
+    assert {n.rsplit(".", 1)[1] for n in b.column("_src_segment").to_pylist()} == {
+        "parquet", "jsonl"
+    }
+
+
+def test_mixed_batch_row_slices_equal_parquet_lake(twin_wals, tmp_path,
+                                                   monkeypatch):
+    """Batches of one parquet and one jsonl segment, each segment cut
+    into row slices (fewer segments than CPUs, slice threshold lowered):
+    the jsonl slices go through the same reader and the lake equals the
+    all-parquet twin's, with every row naming its own segment."""
+    from data_hub_ejp_xml_pipeline_ray.pipelines import cdc
+
+    pw, _ = twin_wals
+    mixed = str(tmp_path / "mw")
+    os.makedirs(mixed)
+    names = set()
+    for i, s in enumerate(list_segments(pw)):
+        if i % 2:
+            name = s.name.replace(".parquet", ".jsonl")
+            write_segment_jsonl(pq.read_table(s.path), os.path.join(mixed, name))
+        else:
+            name = s.name
+            shutil.copy(s.path, os.path.join(mixed, name))
+        names.add(name)
+    pl, ml = str(tmp_path / "pl"), str(tmp_path / "ml")
+    run_ingest(CdcConfig(wal_dir=pw, lake_dir=pl, num_partitions=4))
+    monkeypatch.setattr(cdc, "MIN_SLICE_ROWS", 40)
+    segs = list_segments(mixed, "segment-*")
+    assert len(cdc._phase1_plan(segs[:2], [150, 150], 4)) == 4
+    r = run_ingest(CdcConfig(wal_dir=mixed, lake_dir=ml, num_partitions=4,
+                             segment_glob="segment-*",
+                             max_segments_per_batch=2))
+    assert r.commits == 2
+    a, b = lake_snapshot(pl), lake_snapshot(ml)
+    assert _no_src(a).equals(_no_src(b))
+    assert set(b.column("_src_segment").to_pylist()) <= names
+    assert b.column("_src_segment").null_count == 0

@@ -6,12 +6,13 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from data_hub_ejp_xml_pipeline_ray.schemas import conform_table, unify_many
 from data_hub_ejp_xml_pipeline_ray.sources.synthetic import generate_wal
 from data_hub_ejp_xml_pipeline_ray.sources.wal import (
     list_segments,
-    read_segments,
+    read_segment,
+    segment_schemas,
     segments_after,
-    unified_wire_schema,
 )
 
 
@@ -100,13 +101,26 @@ def test_unified_read_across_schema_versions(tmp_path):
     d = os.path.join(str(tmp_path), "wal")
     generate_wal(d, seed=3, n_urls=10, n_events=100, n_segments=4, v2_from_segment=2)
     segs = list_segments(d)
-    wire = unified_wire_schema(segs)
+    wire = unify_many(segment_schemas(segs))
     assert wire.field("fetch_status").type == pa.int64()  # widened
     assert "content_type" in wire.names
-    ds = read_segments(segs, wire)
     table = pa.concat_tables(
-        list(ds.iter_batches(batch_format="pyarrow")), promote_options="default"
+        [conform_table(read_segment(s), wire) for s in segs]
     )
     assert table.num_rows == 100
     # v1 rows present with null content_type under the unified schema
     assert table.column("content_type").null_count > 0
+
+
+def test_read_segment_row_slices_tile_the_segment(tmp_path):
+    # slices that straddle row-group boundaries tile the segment exactly
+    path = os.path.join(str(tmp_path), "segment-00000.parquet")
+    pq.write_table(pa.table({"x": list(range(100))}), path, row_group_size=30)
+    seg = list_segments(str(tmp_path))[0]
+    whole = read_segment(seg)
+    assert whole.column("x").to_pylist() == list(range(100))
+    assert whole.column("_src_segment").unique().to_pylist() == [seg.name]
+    cuts = [0, 7, 30, 31, 65, 100]
+    pieces = [read_segment(seg, (a, b)) for a, b in zip(cuts, cuts[1:])]
+    assert [p.num_rows for p in pieces] == [7, 23, 1, 34, 35]
+    assert pa.concat_tables(pieces).equals(whole)
