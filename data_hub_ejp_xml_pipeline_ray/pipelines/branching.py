@@ -53,7 +53,6 @@ from ..state.checkpoint import (
     gc_unreferenced,
     list_branches,
     load_manifest,
-    utcnow_iso,
     verify_lock,
     writer_lock,
 )
@@ -112,26 +111,10 @@ def create_branch(
                 f"delete_branch() it first"
             )
         parts, deltas, zones = _rewrite_manifest_paths(m, _to_branch_rel)
-        bm = LakeManifest(
-            num_partitions=m.num_partitions,
-            version=1,
-            watermark=m.watermark,
-            source_watermarks=dict(m.source_watermarks),
-            schema=m.schema,
-            partitions=parts,
-            partition_meta={k: dict(v) for k, v in m.partition_meta.items()},
-            splits=[list(s) for s in m.splits],
-            lineage=[{
-                "version": 1, "committed_at": utcnow_iso(), "op": "branch",
-                "branch": name, "forked_from_version": m.version,
-            }],
-            counters=dict(m.counters),
-            retain_versions=m.retain_versions,
-            kind=m.kind,
-            delta_files=deltas,
-            zones=zones,
-            renames=[list(p) for p in m.renames],
-            dropped=list(m.dropped),
+        bm = m.successor(
+            {"op": "branch", "branch": name, "forked_from_version": m.version},
+            history=LakeManifest(num_partitions=m.num_partitions),
+            partitions=parts, delta_files=deltas, zones=zones,
         )
         commit_manifest(bdir, bm)
         # the parent's purge registry travels to the branch: branch
@@ -296,31 +279,14 @@ def publish_branch(
                 continue  # our own crashed attempt: identical bytes
             copy_file(os.path.join(bdir, brel), dst)
 
-        new_m = LakeManifest(
-            num_partitions=branch.num_partitions,
-            version=parent.version + 1,
-            watermark=branch.watermark,
-            source_watermarks=dict(branch.source_watermarks),
-            schema=branch.schema,
-            partitions=parts,
-            partition_meta={
-                k: dict(v) for k, v in branch.partition_meta.items()
-            },
-            splits=[list(s) for s in branch.splits],
-            lineage=parent.lineage + [{
-                "version": parent.version + 1,
-                "committed_at": utcnow_iso(),
+        new_m = branch.successor(
+            {
                 "op": "publish", "branch": name,
                 "branch_version": branch.version,
                 "forked_from_version": fork_v,
-            }],
-            counters=dict(branch.counters),
-            retain_versions=parent.retain_versions,
-            kind=branch.kind,
-            delta_files=deltas,
-            zones=zones,
-            renames=[list(p) for p in branch.renames],
-            dropped=list(branch.dropped),
+            },
+            history=parent, retain_versions=parent.retain_versions,
+            partitions=parts, delta_files=deltas, zones=zones,
         )
         commit_manifest(lake_dir, new_m, expected_version=parent.version)
         verify_lock(lake_dir, ptok)
@@ -446,7 +412,7 @@ def merge_branch(
                 pa.concat_tables([main_side, branch_side])
             )
             if merged.num_rows == 0:
-                return {"part": part, "rel": None, "rows": 0, "bytes": 0,
+                return {"part": part, "path": None, "rows": 0, "bytes": 0,
                         "tombstones": 0}
             from ..state.iofs import write_table_atomic
 
@@ -457,61 +423,26 @@ def merge_branch(
                 int(pa.compute.sum(merged.column(DELETED_COL)).as_py() or 0)
                 if DELETED_COL in merged.column_names else 0
             )
-            return {"part": part, "rel": rel, "rows": merged.num_rows,
+            return {"part": part, "path": rel, "rows": merged.num_rows,
                     "bytes": nbytes, "tombstones": tombs}
 
         stats = ray.get([merge_part.remote(p) for p in touched])
-
-        partitions = dict(parent.partitions)
-        partition_meta = {k: dict(v) for k, v in parent.partition_meta.items()}
-        delta_files = {k: list(v) for k, v in parent.delta_files.items()}
-        for s in stats:
-            part = s["part"]
-            delta_files.pop(part, None)  # folded into the new base
-            if s["rel"] is None:
-                partitions.pop(part, None)
-                partition_meta.pop(part, None)
-                continue
-            partitions[part] = s["rel"]
-            meta = partition_meta.setdefault(part, {})
-            meta.update({
-                "rows": s["rows"], "bytes": s["bytes"],
-                "tombstones": s["tombstones"],
-            })
-            meta.pop("delta_rows", None)
-            meta.pop("delta_tombstones", None)
         watermark = max(
             (w for w in (parent.watermark, branch.watermark) if w is not None),
             default=None,
         )
-        new_m = LakeManifest(
-            num_partitions=parent.num_partitions,
-            version=parent.version + 1,
-            watermark=watermark,
-            source_watermarks=dict(parent.source_watermarks),
-            schema=schema,
-            partitions=partitions,
-            partition_meta=partition_meta,
-            splits=[list(s) for s in parent.splits],
-            lineage=parent.lineage + [{
-                "version": parent.version + 1,
-                "committed_at": utcnow_iso(),
+        new_m = parent.successor(
+            {
                 "op": "merge", "branch": name,
                 "branch_version": branch.version,
                 "forked_from_version": fork_v,
                 "merged_partitions": len(touched),
-            }],
-            counters=dict(parent.counters),
-            retain_versions=parent.retain_versions,
-            kind=kind,
-            delta_files=delta_files,
-            zones={
-                k: v for k, v in (parent.zones or {}).items()
-                if k in set(partitions.values())
             },
-            renames=[list(p) for p in parent.renames],
-            dropped=list(parent.dropped),
+            watermark=watermark, schema=schema,
         )
+        # each merged partition is a new base: main's pending deltas on
+        # it were read into the merge and are folded in
+        new_m.fold_partition_stats(stats)
         commit_manifest(lake_dir, new_m, expected_version=parent.version)
         verify_lock(lake_dir, ptok)
         if not keep_branch:

@@ -56,8 +56,6 @@ from ..state.checkpoint import (
     gc_unreferenced,
     list_purged,
     load_manifest,
-    residue_modulus,
-    utcnow_iso,
     verify_lock,
     writer_lock,
 )
@@ -280,7 +278,9 @@ def _ingest_one_batch(
     token = batch_token(
         effective_wm, [s.name for s in segments], manifest.version
     )
-    seg_schemas = wal_source.segment_schemas(segments)
+    footers = wal_source.segment_footers(segments)
+    seg_schemas = [schema for schema, _ in footers]
+    seg_rows = [rows for _, rows in footers]
     wire = unify_many(seg_schemas)
     # DDL projection BEFORE the union: wire columns arriving under a
     # pre-rename name map to the live name, and dropped columns never
@@ -295,7 +295,6 @@ def _ingest_one_batch(
     )
 
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    seg_rows = [wal_source.segment_row_counts([s]) for s in segments]
     events_applied = sum(seg_rows)
 
     # --- Exchange phase 1 (map side): read + extract + combine + spill,
@@ -412,54 +411,35 @@ def _ingest_one_batch(
     # events_applied (computed pre-read from segment footers) is the
     # raw event count; the per-partition stats count post-combiner
     # delta rows.
-    new_partitions = dict(manifest.partitions)
-    new_meta = dict(manifest.partition_meta)
-    new_delta_files = {k: list(v) for k, v in manifest.delta_files.items()}
-    deltas_merged = 0
-    for row in stats:
-        part = int(row["part"])
-        deltas_merged += int(row["events_applied"])
-        if cfg.merge_mode == "mor":
-            # base untouched; record the appended delta file and its
-            # stats alongside the partition meta so compaction policy
-            # can target partitions by delta volume
-            new_delta_files.setdefault(part, []).append(row["path"])
-            meta = dict(new_meta.get(part, {}))
-            meta["delta_rows"] = meta.get("delta_rows", 0) + int(row["rows"])
-            meta["delta_bytes"] = meta.get("delta_bytes", 0) + int(row["bytes"])
-            meta["delta_file_count"] = len(new_delta_files[part])
-            meta["delta_tombstones"] = (
-                meta.get("delta_tombstones", 0) + int(row.get("tombstones", 0))
-            )
-            meta.setdefault("modulus", residue_modulus(
-                part, manifest.num_partitions, manifest.split_set()
-            ))
-            new_meta[part] = meta
-            continue
-        # CoW: the rewrite folded any pending MOR deltas in
-        new_delta_files.pop(part, None)
-        if row["path"] is None:
-            new_partitions.pop(part, None)
-            new_meta.pop(part, None)
-        else:
-            new_partitions[part] = row["path"]
-            new_meta[part] = {
-                "rows": int(row["rows"]),
-                "tombstones": int(row["tombstones"]),
-                "bytes": int(row["bytes"]),
-                "modulus": residue_modulus(
-                    part, manifest.num_partitions, manifest.split_set()
-                ),
-            }
+    deltas_merged = sum(int(row["events_applied"]) for row in stats)
     counters = dict(manifest.counters)
     counters["events_applied"] = counters.get("events_applied", 0) + events_applied
     counters["commits"] = counters.get("commits", 0) + 1
     if error_rows:
         counters["error_rows"] = counters.get("error_rows", 0) + error_rows
 
-    new_manifest = LakeManifest(
-        num_partitions=manifest.num_partitions,
-        version=manifest.version + 1,
+    new_manifest = manifest.successor(
+        {
+            "token": token,
+            "segments": [s.name for s in segments],
+            "events_applied": events_applied,
+            "deltas_merged": deltas_merged,
+            "error_rows": error_rows,
+            "partitions_rewritten": len(stats),
+            "partitions_resumed": sum(1 for r in stats if r.get("resumed")),
+            "phase1_seconds": round(phase1_s, 3),
+            "phase2_seconds": round(phase2_s, 3),
+            "events_per_sec": (
+                round(events_applied / (phase1_s + phase2_s), 1)
+                if (phase1_s + phase2_s) > 0 else None
+            ),
+            "rows_per_partition": {
+                str(int(r["part"])): int(r["rows"]) for r in stats
+            },
+            **({"merge_mode": "mor"} if cfg.merge_mode == "mor" else {}),
+            **({"source": cfg.source} if cfg.source else {}),
+            **(lineage_extra or {}),
+        },
         # a redrive replays synthetic segments and must NOT advance the
         # tailer watermark past real WAL names (watermark_override
         # pins it to the pre-redrive value); a NAMED source advances
@@ -474,44 +454,12 @@ def _ingest_one_batch(
             **({cfg.source: segments[-1].name} if cfg.source else {}),
         },
         schema=new_lake_schema,
-        partitions=new_partitions,
-        partition_meta=new_meta,
-        splits=list(manifest.splits),
-        lineage=manifest.lineage
-        + [
-            {
-                "version": manifest.version + 1,
-                "committed_at": utcnow_iso(),
-                "token": token,
-                "segments": [s.name for s in segments],
-                "events_applied": events_applied,
-                "deltas_merged": deltas_merged,
-                "error_rows": error_rows,
-                "partitions_rewritten": len(stats),
-                "partitions_resumed": sum(
-                    1 for r in stats if r.get("resumed")
-                ),
-                "phase1_seconds": round(phase1_s, 3),
-                "phase2_seconds": round(phase2_s, 3),
-                "events_per_sec": (
-                    round(events_applied / (phase1_s + phase2_s), 1)
-                    if (phase1_s + phase2_s) > 0 else None
-                ),
-                "rows_per_partition": {
-                    str(int(r["part"])): int(r["rows"]) for r in stats
-                },
-                **({"merge_mode": "mor"} if cfg.merge_mode == "mor" else {}),
-                **({"source": cfg.source} if cfg.source else {}),
-                **(lineage_extra or {}),
-            }
-        ],
         counters=counters,
         retain_versions=cfg.retain_versions,
-        kind=manifest.kind,
-        delta_files={k: v for k, v in new_delta_files.items() if v},
-        renames=[list(p) for p in manifest.renames],
-        dropped=list(manifest.dropped),
     )
+    # MOR leaves the base untouched and appends a delta file; CoW
+    # rewrites the base, folding any pending MOR deltas in
+    new_manifest.fold_partition_stats(stats, delta=cfg.merge_mode == "mor")
     import shutil as _shutil
 
     # Commit under the per-lake writer lock with a compare-and-swap on

@@ -53,11 +53,9 @@ import pyarrow as pa
 
 from ..schemas import alias_names
 from ..state.checkpoint import (
-    LakeManifest,
     commit_manifest,
     gc_unreferenced,
     load_manifest,
-    utcnow_iso,
     verify_lock,
     writer_lock,
 )
@@ -184,30 +182,15 @@ def alter_lake(
             }
             new_zones[rel] = {**doc, "cols": cols}
 
-        new_manifest = LakeManifest(
-            num_partitions=manifest.num_partitions,
-            version=manifest.version + 1,
-            watermark=manifest.watermark,
-            source_watermarks=dict(manifest.source_watermarks),
-            schema=pa.schema(fields),
-            partitions=dict(manifest.partitions),
-            partition_meta={
-                k: dict(v) for k, v in manifest.partition_meta.items()
-            },
-            splits=[list(s) for s in manifest.splits],
-            lineage=manifest.lineage + [{
-                "version": manifest.version + 1,
-                "committed_at": utcnow_iso(),
+        new_manifest = manifest.successor(
+            {
                 "op": "alter",
                 **({"add": {k: str(_parse_type(v)) for k, v in add.items()}}
                    if add else {}),
                 **({"rename": dict(rename)} if rename else {}),
                 **({"drop": list(drop)} if drop else {}),
-            }],
-            counters=dict(manifest.counters),
-            retain_versions=manifest.retain_versions,
-            kind=manifest.kind,
-            delta_files={k: list(v) for k, v in manifest.delta_files.items()},
+            },
+            schema=pa.schema(fields),
             zones=new_zones,
             renames=new_renames,
             dropped=new_dropped,

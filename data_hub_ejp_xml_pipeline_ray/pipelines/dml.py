@@ -63,12 +63,10 @@ import pyarrow.parquet as pq
 from ..schemas import conform_table
 from ..stages.merge import DELETED_COL, read_effective_partition
 from ..state.checkpoint import (
-    LakeManifest,
     commit_manifest,
     gc_unreferenced,
     load_manifest,
     partition_delta_relpath,
-    residue_modulus,
     verify_lock,
     writer_lock,
 )
@@ -225,7 +223,7 @@ def _dml_commit(
                 f = pq.ParquetFile(out_path)
                 t = f.read(columns=[DELETED_COL])
                 return {
-                    "part": part, "rel": rel,
+                    "part": part, "path": rel,
                     "rows": f.metadata.num_rows,
                     "bytes": file_size(out_path),
                     "tombstones": int(
@@ -257,7 +255,7 @@ def _dml_commit(
             )
             nbytes = write_table_atomic(delta, out_path)
             return {
-                "part": part, "rel": rel, "rows": delta.num_rows,
+                "part": part, "path": rel, "rows": delta.num_rows,
                 "bytes": nbytes,
                 "tombstones": tombstones, "matched": matched,
             }
@@ -279,37 +277,10 @@ def _dml_commit(
                 "partitions_pruned": plan["parts_total"] - plan["parts_read"],
                 "version": manifest.version, "committed": False,
             }
-        new_meta = {k: dict(v) for k, v in manifest.partition_meta.items()}
-        new_deltas = {k: list(v) for k, v in manifest.delta_files.items()}
-        for r in results:
-            part = int(r["part"])
-            new_deltas.setdefault(part, []).append(r["rel"])
-            meta = new_meta.setdefault(part, {})
-            meta["delta_rows"] = meta.get("delta_rows", 0) + int(r["rows"])
-            meta["delta_bytes"] = meta.get("delta_bytes", 0) + int(r["bytes"])
-            meta["delta_file_count"] = len(new_deltas[part])
-            meta["delta_tombstones"] = (
-                meta.get("delta_tombstones", 0) + int(r["tombstones"])
-            )
-            meta.setdefault("modulus", residue_modulus(
-                part, manifest.num_partitions, manifest.split_set()
-            ))
         counters = dict(manifest.counters)
         counters["commits"] = counters.get("commits", 0) + 1
-        from ..state.checkpoint import utcnow_iso
-
-        new_manifest = LakeManifest(
-            num_partitions=manifest.num_partitions,
-            version=manifest.version + 1,
-            watermark=manifest.watermark,  # DML never moves the tailer
-            source_watermarks=dict(manifest.source_watermarks),
-            schema=schema,
-            partitions=dict(manifest.partitions),
-            partition_meta=new_meta,
-            splits=list(manifest.splits),
-            lineage=manifest.lineage + [{
-                "version": manifest.version + 1,
-                "committed_at": utcnow_iso(),
+        new_manifest = manifest.successor(  # DML never moves the tailer
+            {
                 "op": op_name,
                 "token": token,
                 "predicate": constraints,
@@ -320,14 +291,10 @@ def _dml_commit(
                 "partitions_pruned": (
                     plan["parts_total"] - plan["parts_read"]
                 ),
-            }],
+            },
             counters=counters,
-            retain_versions=manifest.retain_versions,
-            kind=kind,
-            delta_files={k: v for k, v in new_deltas.items() if v},
-            renames=[list(p) for p in manifest.renames],
-            dropped=list(manifest.dropped),
         )
+        new_manifest.fold_partition_stats(results, delta=True)
         commit_manifest(
             lake_dir, new_manifest, expected_version=manifest.version
         )

@@ -24,13 +24,13 @@ import ray.data
 from ..stages.merge import DELETED_COL
 from ..state.checkpoint import (
     DATA_DIR,
+    DELTA_STAT_KEYS,
     LakeManifest,
     commit_manifest,
     gc_unreferenced,
     list_versions,
     load_manifest,
     residue_modulus,
-    utcnow_iso,
     verify_lock,
     writer_lock,
 )
@@ -161,26 +161,10 @@ def clone_lake(
         copied_bytes += copy_file(
             os.path.join(src_dir, rel), os.path.join(dst_dir, rel)
         )
-    clone = LakeManifest(
-        num_partitions=m.num_partitions,
-        version=1,
-        watermark=m.watermark,
-        source_watermarks=dict(m.source_watermarks),
-        schema=m.schema,
-        partitions=dict(m.partitions),
-        partition_meta={k: dict(v) for k, v in m.partition_meta.items()},
-        splits=[list(s) for s in m.splits],
-        lineage=[{
-            "version": 1, "committed_at": utcnow_iso(),
-            "cloned_from": src_dir, "src_version": m.version,
-        }],
-        counters=dict(m.counters),
-        retain_versions=m.retain_versions,
-        kind=m.kind,
-        delta_files={k: list(v) for k, v in m.delta_files.items()},
-        zones=dict(m.zones),  # same relpaths + identical bytes -> valid
-        renames=[list(p) for p in m.renames],
-        dropped=list(m.dropped),
+    # same relpaths + identical bytes: the zone maps stay valid
+    clone = m.successor(
+        {"cloned_from": src_dir, "src_version": m.version},
+        history=LakeManifest(num_partitions=m.num_partitions),
     )
     commit_manifest(dst_dir, clone)
     # the purge registry travels with the clone: it resumes tailing the
@@ -223,33 +207,17 @@ def restore_lake(lake_dir: str, version: int) -> dict:
                 f"v{cur.version}"
             )
         old = load_manifest(lake_dir, version=int(version))  # raises if pruned
-        new_manifest = LakeManifest(
-            num_partitions=old.num_partitions,
-            version=cur.version + 1,
-            watermark=old.watermark,
-        source_watermarks=dict(old.source_watermarks),
-            schema=old.schema,
-            partitions=dict(old.partitions),
-            partition_meta={k: dict(v) for k, v in old.partition_meta.items()},
-            splits=[list(s) for s in old.splits],
-            lineage=cur.lineage + [{
-                "version": cur.version + 1,
-                "committed_at": utcnow_iso(),
+        # the restored snapshot's OWN DDL state too: a rename/drop made
+        # after it intentionally regresses with the data (the
+        # change-feed guard refuses to diff across the regression)
+        new_manifest = old.successor(
+            {
                 "op": "restore",
                 "restored_version": int(version),
                 "from_watermark": cur.watermark,
                 "to_watermark": old.watermark,
-            }],
-            counters=dict(old.counters),
-            retain_versions=cur.retain_versions,
-            kind=old.kind,
-            delta_files={k: list(v) for k, v in old.delta_files.items()},
-            zones=dict(old.zones),
-            # the restored snapshot's OWN DDL state: a rename/drop made
-            # after it intentionally regresses with the data (the
-            # change-feed guard refuses to diff across the regression)
-            renames=[list(p) for p in old.renames],
-            dropped=list(old.dropped),
+            },
+            history=cur, retain_versions=cur.retain_versions,
         )
         commit_manifest(
             lake_dir, new_manifest, expected_version=cur.version
@@ -468,8 +436,7 @@ def purge_urls(lake_dir: str, urls: list[str]) -> dict:
                     pm["delta_file_count"] = len(new_rels)
                 else:
                     deltas.pop(part)
-                    for k in ("delta_rows", "delta_bytes",
-                              "delta_file_count", "delta_tombstones"):
+                    for k in DELTA_STAT_KEYS:
                         pm.pop(k, None)
             # a part with neither base nor deltas has no state left
             for part in list(meta):
@@ -499,30 +466,14 @@ def purge_urls(lake_dir: str, urls: list[str]) -> dict:
             parts, meta, deltas, zones = scrubbed(head)
             head.partitions, head.partition_meta = parts, meta
             head.delta_files, head.zones = deltas, zones
-        new_manifest = LakeManifest(
-            num_partitions=head.num_partitions,
-            version=cur.version + 1,
-            watermark=head.watermark,
-            source_watermarks=dict(head.source_watermarks),
-            schema=head.schema,
-            partitions=dict(head.partitions),
-            partition_meta={k: dict(v) for k, v in head.partition_meta.items()},
-            splits=[list(s) for s in head.splits],
-            lineage=cur.lineage + [{
-                "version": cur.version + 1,
-                "committed_at": utcnow_iso(),
+        new_manifest = head.successor(
+            {
                 "op": "purge",
                 "urls_purged": len(urls),
                 "rows_purged": rows_purged,
                 "files_rewritten": len(remap),
-            }],
-            counters=dict(head.counters),
-            retain_versions=cur.retain_versions,
-            kind=head.kind,
-            delta_files={k: list(v) for k, v in head.delta_files.items()},
-            zones=dict(head.zones),
-            renames=[list(p) for p in head.renames],
-            dropped=list(head.dropped),
+            },
+            history=cur, retain_versions=cur.retain_versions,
         )
         commit_manifest(lake_dir, new_manifest, expected_version=cur.version)
         # 3) register the urls for the ingest-edge guard and the feed
@@ -565,28 +516,13 @@ def rewind_watermark(lake_dir: str, to: str | None = None) -> dict:
                 f"({manifest.watermark!r} -> {to!r}): the tailer would "
                 f"skip unprocessed WAL"
             )
-        new_manifest = LakeManifest(
-            num_partitions=manifest.num_partitions,
-            version=manifest.version + 1,
-            watermark=to,
-            source_watermarks=dict(manifest.source_watermarks),
-            schema=manifest.schema,
-            partitions=dict(manifest.partitions),
-            partition_meta=dict(manifest.partition_meta),
-            splits=list(manifest.splits),
-            lineage=manifest.lineage + [{
-                "version": manifest.version + 1,
-                "committed_at": utcnow_iso(),
+        new_manifest = manifest.successor(
+            {
                 "op": "rewind",
                 "from_watermark": manifest.watermark,
                 "to_watermark": to,
-            }],
-            counters=manifest.counters,
-            retain_versions=manifest.retain_versions,
-            kind=manifest.kind,
-            delta_files={k: list(v) for k, v in manifest.delta_files.items()},
-            renames=[list(p) for p in manifest.renames],
-            dropped=list(manifest.dropped),
+            },
+            watermark=to,
         )
         commit_manifest(
             lake_dir, new_manifest, expected_version=manifest.version
@@ -681,38 +617,6 @@ def _fold_rewrite(
     return ds.map_batches(rewrite, batch_format="pyarrow").take_all()
 
 
-def _apply_fold_stats(
-    manifest: LakeManifest, stats: list[dict],
-) -> tuple[dict, dict, dict]:
-    """Fold per-partition rewrite stats into new (partitions, meta,
-    delta_files) maps: rewritten partitions get a fresh base entry and
-    their pending delta files cleared (the rewrite folded them in)."""
-    new_partitions = dict(manifest.partitions)
-    new_meta = dict(manifest.partition_meta)
-    new_delta_files = {
-        k: list(v) for k, v in manifest.delta_files.items()
-    }
-    for row in stats:
-        part = int(row["part"])
-        new_delta_files.pop(part, None)
-        if row["path"] is None:
-            new_partitions.pop(part, None)
-            new_meta.pop(part, None)
-            continue
-        new_partitions[part] = row["path"]
-        kept_meta = dict(manifest.partition_meta.get(part, {}))
-        for k in ("delta_rows", "delta_bytes", "delta_file_count",
-                  "delta_tombstones"):
-            kept_meta.pop(k, None)  # folded into the base
-        kept_meta.update(
-            rows=int(row["rows"]),
-            tombstones=int(row["tombstones"]),
-            bytes=int(row["bytes"]),
-        )
-        new_meta[part] = kept_meta
-    return new_partitions, new_meta, new_delta_files
-
-
 def _compact_locked(lake_dir: str, lock_token: str) -> dict:
     manifest = load_manifest(lake_dir)
     if manifest is None:
@@ -734,33 +638,13 @@ def _compact_locked(lake_dir: str, lock_token: str) -> dict:
     stats = _fold_rewrite(
         lake_dir, manifest, targets, token, drop_tombstones=True
     )
-    new_partitions, new_meta, new_delta_files = _apply_fold_stats(manifest, stats)
     dropped_total = sum(int(r["dropped"]) for r in stats)
-
-    new_manifest = LakeManifest(
-        num_partitions=manifest.num_partitions,
-        version=manifest.version + 1,
-        watermark=manifest.watermark,
-        source_watermarks=dict(manifest.source_watermarks),
-        schema=manifest.schema,
-        partitions=new_partitions,
-        partition_meta=new_meta,
-        splits=list(manifest.splits),
-        lineage=manifest.lineage
-        + [{
-            "version": manifest.version + 1,
-            "committed_at": utcnow_iso(),
-            "op": "compact",
-            "partitions_rewritten": len(stats),
-            "tombstones_dropped": dropped_total,
-        }],
-        counters=manifest.counters,
-        retain_versions=manifest.retain_versions,
-        kind=manifest.kind,
-        delta_files={k: v for k, v in new_delta_files.items() if v},
-        renames=[list(p) for p in manifest.renames],
-        dropped=list(manifest.dropped),
-    )
+    new_manifest = manifest.successor({
+        "op": "compact",
+        "partitions_rewritten": len(stats),
+        "tombstones_dropped": dropped_total,
+    })
+    new_manifest.fold_partition_stats(stats)
     commit_manifest(
         lake_dir, new_manifest, expected_version=manifest.version
     )
@@ -796,36 +680,12 @@ def compact_deltas(lake_dir: str) -> dict:
         stats = _fold_rewrite(
             lake_dir, manifest, targets, token, drop_tombstones=False
         )
-        new_partitions, new_meta, new_delta_files = _apply_fold_stats(
-            manifest, stats
-        )
-        assert not new_delta_files or all(
-            p not in new_delta_files for p in targets
-        )
-        new_manifest = LakeManifest(
-            num_partitions=manifest.num_partitions,
-            version=manifest.version + 1,
-            watermark=manifest.watermark,
-            source_watermarks=dict(manifest.source_watermarks),
-            schema=manifest.schema,
-            partitions=new_partitions,
-            partition_meta=new_meta,
-            splits=list(manifest.splits),
-            lineage=manifest.lineage
-            + [{
-                "version": manifest.version + 1,
-                "committed_at": utcnow_iso(),
-                "op": "compact_deltas",
-                "partitions_rewritten": len(stats),
-                "delta_files_folded": folded,
-            }],
-            counters=manifest.counters,
-            retain_versions=manifest.retain_versions,
-            kind=manifest.kind,
-            delta_files={k: v for k, v in new_delta_files.items() if v},
-            renames=[list(p) for p in manifest.renames],
-            dropped=list(manifest.dropped),
-        )
+        new_manifest = manifest.successor({
+            "op": "compact_deltas",
+            "partitions_rewritten": len(stats),
+            "delta_files_folded": folded,
+        })
+        new_manifest.fold_partition_stats(stats)
         commit_manifest(
             lake_dir, new_manifest, expected_version=manifest.version
         )
@@ -906,40 +766,16 @@ def split_partition(lake_dir: str, part: int) -> dict:
     children = ray.get(rewrite_children.remote(rels, part, m))
     with writer_lock(lake_dir) as lock_token:
         current = load_manifest(lake_dir)
-        new_partitions = dict(current.partitions)
-        new_meta = dict(current.partition_meta)
-        new_delta_files = {k: list(v) for k, v in current.delta_files.items()}
-        new_partitions.pop(part, None)
-        new_meta.pop(part, None)
-        new_delta_files.pop(part, None)  # folded into the children
-        for ch in children:
-            new_partitions[int(ch["part"])] = ch["path"]
-            new_meta[int(ch["part"])] = {
-                "rows": int(ch["rows"]), "tombstones": int(ch["tombstones"]),
-                "bytes": int(ch["bytes"]), "modulus": 2 * m,
-            }
-        new_manifest = LakeManifest(
-            num_partitions=current.num_partitions,
-            version=current.version + 1,
-            watermark=current.watermark,
-            source_watermarks=dict(current.source_watermarks),
-            schema=current.schema,
-            partitions=new_partitions,
-            partition_meta=new_meta,
-            splits=list(current.splits) + [[int(part), int(m)]],
-            lineage=current.lineage + [{
-                "version": current.version + 1,
-                "committed_at": utcnow_iso(),
-                "op": "split",
-                "parent": int(part), "modulus": int(m),
-                "children": [int(c["part"]) for c in children],
-            }],
-            counters=current.counters,
-            retain_versions=current.retain_versions,
-            kind=current.kind,
-            delta_files={k: v for k, v in new_delta_files.items() if v},
-            renames=[list(p) for p in current.renames],
-            dropped=list(current.dropped),
+        new_manifest = current.successor({
+            "op": "split",
+            "parent": int(part), "modulus": int(m),
+            "children": [int(c["part"]) for c in children],
+        })
+        new_manifest.splits.append([int(part), int(m)])
+        # the parent retires (its pending deltas are folded into the
+        # children); each child's modulus resolves under the new split
+        new_manifest.fold_partition_stats(
+            [{"part": part, "path": None}, *children]
         )
         commit_manifest(
             lake_dir, new_manifest, expected_version=manifest.version
@@ -1104,45 +940,15 @@ def cluster_lake(
         work = ray.data.from_arrow(work_tbl).repartition(min(len(targets), 32))
         stats = work.map_batches(rewrite, batch_format="pyarrow").take_all()
 
-        new_partitions = dict(manifest.partitions)
-        new_meta = dict(manifest.partition_meta)
-        for row in stats:
-            part = int(row["part"])
-            new_partitions[part] = row["path"]
-            kept_meta = dict(manifest.partition_meta.get(part, {}))
-            for k in ("delta_rows", "delta_bytes", "delta_file_count",
-                      "delta_tombstones"):
-                kept_meta.pop(k, None)  # folded into the clustered base
-            kept_meta.update(
-                rows=int(row["rows"]), tombstones=int(row["tombstones"]),
-                bytes=int(row["bytes"]),
-            )
-            new_meta[part] = kept_meta
-
-        new_manifest = LakeManifest(
-            num_partitions=manifest.num_partitions,
-            version=manifest.version + 1,
-            watermark=manifest.watermark,
-            source_watermarks=dict(manifest.source_watermarks),
-            schema=manifest.schema,
-            partitions=new_partitions,
-            partition_meta=new_meta,
-            splits=list(manifest.splits),
-            lineage=manifest.lineage
-            + [{
-                "version": manifest.version + 1,
-                "committed_at": utcnow_iso(),
-                "op": "cluster",
-                "sort_by": keys,
-                "method": method,
-                "partitions_rewritten": len(stats),
-            }],
-            counters=manifest.counters,
-            retain_versions=manifest.retain_versions,
-            kind=manifest.kind,
-            renames=[list(p) for p in manifest.renames],
-            dropped=list(manifest.dropped),
-        )
+        # every live partition was rewritten: pending MOR deltas are
+        # folded into the clustered bases
+        new_manifest = manifest.successor({
+            "op": "cluster",
+            "sort_by": keys,
+            "method": method,
+            "partitions_rewritten": len(stats),
+        })
+        new_manifest.fold_partition_stats(stats)
         commit_manifest(
             lake_dir, new_manifest, expected_version=manifest.version
         )

@@ -43,7 +43,6 @@ from ..state.checkpoint import (
     list_versions,
     load_manifest,
     partition_file_relpath,
-    utcnow_iso,
     verify_lock,
     writer_lock,
 )
@@ -150,7 +149,6 @@ def sync_replica(
         rm.num_partitions if rm is not None
         else int(num_partitions or sm.num_partitions)
     )
-    version = (rm.version if rm is not None else 0) + 1
     token = f"sync-{sv:06d}"
     old_parts = (
         dict(rm.partitions) if rm is not None and not rebuild else {}
@@ -199,16 +197,20 @@ def sync_replica(
         else:
             new = live
 
-        rel = partition_file_relpath(part, token)
-        out_path = os.path.join(replica_dir, rel)
+        rel, nbytes = None, 0
         if new.num_rows:
             from ..state.iofs import write_table_atomic
 
-            write_table_atomic(new.sort_by("url"), out_path)
+            rel = partition_file_relpath(part, token)
+            nbytes = write_table_atomic(
+                new.sort_by("url"), os.path.join(replica_dir, rel)
+            )
         return pa.table({
             "part": pa.array([part], pa.int64()),
-            "rel": pa.array([rel if new.num_rows else None], pa.string()),
+            "path": pa.array([rel], pa.string()),
             "rows": pa.array([new.num_rows], pa.int64()),
+            "tombstones": pa.array([0], pa.int64()),
+            "bytes": pa.array([nbytes], pa.int64()),
             "upserts": pa.array([live.num_rows], pa.int64()),
             "removed": pa.array(
                 [group.num_rows - live.num_rows], pa.int64()
@@ -222,62 +224,31 @@ def sync_replica(
         .take_all()
     )
 
-    new_partitions = dict(old_parts)
-    new_meta = (
-        dict(rm.partition_meta) if rm is not None and not rebuild else {}
-    )
-    upserts = removed = 0
-    for row in stats:
-        part = int(row["part"])
-        upserts += int(row["upserts"])
-        removed += int(row["removed"])
-        if row["rel"] is None:
-            new_partitions.pop(part, None)
-            new_meta.pop(part, None)
-        else:
-            from ..state.iofs import file_size as _fsize
-
-            new_partitions[part] = row["rel"]
-            new_meta[part] = {
-                "rows": int(row["rows"]), "tombstones": 0,
-                "bytes": _fsize(
-                    os.path.join(replica_dir, row["rel"])
-                ),
-                "modulus": num_p,
-            }
-
+    upserts = sum(int(row["upserts"]) for row in stats)
+    removed = sum(int(row["removed"]) for row in stats)
     counters = dict(rm.counters) if rm is not None else {}
     counters["source_version"] = sv
     counters["syncs"] = counters.get("syncs", 0) + 1
-    new_manifest = LakeManifest(
-        num_partitions=num_p,
-        version=version,
-        watermark=rm.watermark if rm is not None else None,
-        source_watermarks=(
-            dict(rm.source_watermarks) if rm is not None else {}
-        ),
-        schema=schema,
-        partitions=new_partitions,
-        partition_meta=new_meta,
-        splits=list(rm.splits) if rm is not None else [],
-        lineage=(rm.lineage if rm is not None else []) + [{
-            "version": version,
-            "committed_at": utcnow_iso(),
+    new_manifest = (rm or LakeManifest(num_partitions=num_p)).successor(
+        {
             "op": "sync_replica",
             "source_version": sv,
             "from_version": last,
             "partitions_touched": len(stats),
             "rows_upserted": upserts,
             "rows_removed": removed,
-        }],
+        },
+        schema=schema,
         counters=counters,
-        retain_versions=rm.retain_versions if rm is not None else 2,
         # source DDL state travels with the replica: untouched replica
         # partitions keep files written under pre-rename names, and the
         # replica's own reads map them through this log
         renames=src_renames,
         dropped=src_dropped,
+        # a rebuild drops every old replica file
+        **({"partitions": {}, "partition_meta": {}} if rebuild else {}),
     )
+    new_manifest.fold_partition_stats(stats)
     with writer_lock(replica_dir) as lock_token:
         commit_manifest(
             replica_dir, new_manifest,
@@ -294,7 +265,7 @@ def sync_replica(
             "rebuild" if rebuild else "full" if last == 0 else "incremental"
         ),
         "source_version": sv,
-        "replica_version": version,
+        "replica_version": new_manifest.version,
         "partitions_touched": len(stats),
         "rows_upserted": upserts,
         "rows_removed": removed,

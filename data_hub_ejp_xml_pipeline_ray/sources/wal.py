@@ -195,65 +195,58 @@ def _is_jsonl(seg: SegmentMeta) -> bool:
     return seg.name.endswith(".jsonl")
 
 
-def _jsonl_segment_schema(path: str) -> pa.Schema:
-    """Infer a JSONL segment's wire schema from its first
-    ``_JSONL_SCHEMA_SAMPLE_LINES`` lines (driver-side head read — the
-    jsonl analog of a parquet footer scan), then canonicalize field
-    types against the engine's known wire fields: JSON has no binary or
-    timestamp type, so ``html`` arrives as a string and ``warc_ts`` as
-    an ISO-8601 string; fields named in :data:`..schemas.EVENTS_SCHEMA_V2`
-    take their canonical wire type (the downstream ``conform_table``
-    cast parses/encodes them), unknown new fields keep the inferred
-    JSON type — the same column-add evolution path parquet gets."""
+def _jsonl_schema_and_rows(path: str) -> tuple[pa.Schema, int]:
+    """One streamed pass over a JSONL segment: its wire schema inferred
+    from the first ``_JSONL_SCHEMA_SAMPLE_LINES`` lines (the jsonl
+    analog of a parquet footer read) and its line count (a bytes scan,
+    no parse — at real scale a jsonl WAL writer would ship a sidecar
+    count instead, and this is the slot it would plug into). Field
+    types are canonicalized against the engine's known wire fields:
+    JSON has no binary or timestamp type, so ``html`` arrives as a
+    string and ``warc_ts`` as an ISO-8601 string; fields named in
+    :data:`..schemas.EVENTS_SCHEMA_V2` take their canonical wire type
+    (the downstream ``conform_table`` cast parses/encodes them), unknown
+    new fields keep the inferred JSON type — the same column-add
+    evolution path parquet gets."""
     import io
 
     from pyarrow import json as pa_json
 
     from ..schemas import EVENTS_SCHEMA_V2
-
     from ..state.iofs import open_binary
 
-    buf = io.BytesIO()
+    head = io.BytesIO()
+    rows = 0
     with open_binary(path) as f:
-        for i, line in enumerate(f):
-            if i >= _JSONL_SCHEMA_SAMPLE_LINES:
-                break
-            buf.write(line)
-    inferred = pa_json.read_json(io.BytesIO(buf.getvalue())).schema
+        # line iteration, not newline count: robust to a foreign
+        # writer omitting the final newline
+        for line in f:
+            if rows < _JSONL_SCHEMA_SAMPLE_LINES:
+                head.write(line)
+            rows += 1
+    inferred = pa_json.read_json(io.BytesIO(head.getvalue())).schema
     canon = {f.name: f.type for f in EVENTS_SCHEMA_V2}
-    return pa.schema(
+    schema = pa.schema(
         [pa.field(f.name, canon.get(f.name, f.type)) for f in inferred]
     )
+    return schema, rows
 
 
-def segment_schemas(segments: list[SegmentMeta]) -> list[pa.Schema]:
-    """Each segment's physical schema (parquet footer / jsonl head
-    sample only — never a data read)."""
-    return [
-        _jsonl_segment_schema(s.path) if _is_jsonl(s)
-        else pq.ParquetFile(s.path).schema_arrow
-        for s in segments
-    ]
-
-
-def segment_row_counts(segments: list[SegmentMeta]) -> int:
-    """Total raw event rows across segments, driver-side and cheap:
-    parquet from the footer (metadata only); jsonl from a streamed
-    newline count (bytes scan, no parse — at real scale a jsonl WAL
-    writer would ship a sidecar count instead, and this is the slot
-    it would plug into)."""
-    from ..state.iofs import open_binary
-
-    total = 0
+def segment_footers(
+    segments: list[SegmentMeta],
+) -> list[tuple[pa.Schema, int]]:
+    """Each segment's physical schema and raw event row count, from ONE
+    metadata read per segment (the parquet footer; a jsonl segment's
+    streamed line scan) — never a data read, and on an ``s3://`` WAL
+    one footer fetch per segment instead of one per question."""
+    out = []
     for s in segments:
         if _is_jsonl(s):
-            with open_binary(s.path) as f:
-                # line iteration, not newline count: robust to a
-                # foreign writer omitting the final newline
-                total += sum(1 for _ in f)
+            out.append(_jsonl_schema_and_rows(s.path))
         else:
-            total += pq.ParquetFile(s.path).metadata.num_rows
-    return total
+            pf = pq.ParquetFile(s.path)
+            out.append((pf.schema_arrow, pf.metadata.num_rows))
+    return out
 
 
 def read_segment(

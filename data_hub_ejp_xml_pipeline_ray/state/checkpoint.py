@@ -25,6 +25,7 @@ between load and state update re-appends, ``dags/s3_xml_import_pipeline
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -155,6 +156,78 @@ class LakeManifest:
             live.update(rels)
         return live
 
+    def successor(
+        self, entry: dict[str, Any], *, history: "LakeManifest | None" = None,
+        **changes: Any,
+    ) -> "LakeManifest":
+        """The next committed manifest: every field of this one, in
+        fresh containers, with ``changes`` applied, the version bumped
+        and ``entry`` appended to the lineage as
+        ``{"version", "committed_at", **entry}``. This is the one place
+        a commit's lineage record is built.
+
+        ``history`` (default ``self``) is the chain the commit extends:
+        its ``version + 1`` and lineage. Restore, purge and publish
+        take their state from another snapshot (``self``) and pass the
+        current head as ``history``; clone, branch create and a first
+        replica sync start a new chain from an empty manifest."""
+        head = self if history is None else history
+        version = head.version + 1
+        fields = {
+            f.name: _fresh(getattr(self, f.name))
+            for f in dataclasses.fields(self)
+        }
+        fields.update(
+            version=version,
+            lineage=[
+                *_fresh(head.lineage),
+                {"version": version, "committed_at": utcnow_iso(), **entry},
+            ],
+            **changes,
+        )
+        return LakeManifest(**fields)
+
+    def fold_partition_stats(
+        self, rows: list[dict[str, Any]], *, delta: bool = False,
+    ) -> None:
+        """Record per-partition write results ``{part, path, rows, bytes,
+        tombstones}`` in place. A new base (``delta=False``) replaces
+        the partition's file, drops its pending delta files (the
+        rewrite folded them in) and clears their ``delta_*`` stats; a
+        ``path`` of None retires the partition. An appended delta
+        (``delta=True``) joins the partition's delta list and adds to
+        its ``delta_*`` stats. ``modulus`` is filled in where missing,
+        so maintenance can plan from the stats alone."""
+        splits = self.split_set()
+        for row in rows:
+            part = int(row["part"])
+            meta = dict(self.partition_meta.get(part, {}))
+            if delta:
+                rels = self.delta_files.setdefault(part, [])
+                rels.append(row["path"])
+                for key in ("rows", "bytes", "tombstones"):
+                    meta[f"delta_{key}"] = (
+                        meta.get(f"delta_{key}", 0) + int(row.get(key, 0))
+                    )
+                meta["delta_file_count"] = len(rels)
+            else:
+                self.delta_files.pop(part, None)
+                if row["path"] is None:
+                    self.partitions.pop(part, None)
+                    self.partition_meta.pop(part, None)
+                    continue
+                self.partitions[part] = row["path"]
+                for key in DELTA_STAT_KEYS:
+                    meta.pop(key, None)
+                meta.update(
+                    rows=int(row["rows"]), tombstones=int(row["tombstones"]),
+                    bytes=int(row["bytes"]),
+                )
+            meta.setdefault(
+                "modulus", residue_modulus(part, self.num_partitions, splits)
+            )
+            self.partition_meta[part] = meta
+
     def to_json(self) -> dict[str, Any]:
         return {
             "format_version": 1,
@@ -205,6 +278,27 @@ class LakeManifest:
             renames=[[o, n] for o, n in doc.get("renames", [])],
             dropped=list(doc.get("dropped", [])),
         )
+
+
+#: per-partition stats of pending merge-on-read deltas; a new base
+#: file folds the deltas in and clears them
+DELTA_STAT_KEYS = (
+    "delta_rows", "delta_bytes", "delta_file_count", "delta_tombstones",
+)
+
+
+def _fresh(value: Any) -> Any:
+    """A copy of a manifest field with fresh containers two levels deep
+    (``partition_meta`` rows, ``delta_files`` lists, ``splits`` pairs,
+    lineage entries), so a successor never aliases its predecessor."""
+    def one(v: Any) -> Any:
+        return v.copy() if isinstance(v, (dict, list)) else v
+
+    if isinstance(value, dict):
+        return {k: one(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [one(v) for v in value]
+    return value
 
 
 def resolve_partition(

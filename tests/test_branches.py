@@ -416,3 +416,54 @@ def test_merge_branch_refuses_split_divergence(tmp_path):
     with pytest.raises(RuntimeError, match="split maps diverged"):
         merge_branch(main, "split")
     delete_branch(main, "split")
+
+
+def test_merge_branch_clears_folded_delta_stats(tmp_path):
+    """A merge rewrites each branch-touched partition from main's
+    effective base + pending MOR deltas, so those deltas are folded:
+    no ``delta_*`` stat may outlive its delta list, or stats-driven
+    maintenance plans from phantom bytes (split_overflowing used to
+    split every merged partition at a threshold none of them was
+    over)."""
+    from data_hub_ejp_xml_pipeline_ray.pipelines.branching import (
+        merge_branch,
+    )
+    from data_hub_ejp_xml_pipeline_ray.pipelines.maintenance import (
+        split_overflowing,
+    )
+
+    tmp = str(tmp_path)
+    wal = os.path.join(tmp, "wal")
+    main = os.path.join(tmp, "lake")
+    generate_wal(wal, seed=91, n_urls=40, n_events=400, n_segments=3,
+                 delete_fraction=0.1)
+
+    def cfg(lake, glob, **kw):
+        return CdcConfig(wal_dir=wal, lake_dir=lake, num_partitions=4,
+                         segment_glob=glob, **kw)
+
+    run_ingest(cfg(main, "segment-00000.parquet"))
+    create_branch(main, "side")
+    bdir = branch_dir(main, "side")
+    run_ingest(cfg(bdir, "segment-0000[0-1].parquet"))
+    # main advances merge-on-read: pending deltas on the same partitions
+    run_ingest(cfg(main, "segment-0000[0-2].parquet", merge_mode="mor"))
+    pre = load_manifest(main)
+    assert pre.delta_files
+    assert all(
+        pre.partition_meta[p].get("delta_bytes", 0) > 0
+        for p in pre.delta_files
+    )
+
+    out = merge_branch(main, "side")
+    m = load_manifest(main)
+    assert out["merged_partitions"] == len(m.partitions) == 4
+    assert not m.delta_files  # every partition was merged into a base
+    for part, meta in m.partition_meta.items():
+        if part not in m.delta_files:
+            assert not [k for k in meta if k.startswith("delta_")], (
+                part, meta,
+            )
+    largest = max(meta["bytes"] for meta in m.partition_meta.values())
+    assert split_overflowing(main, largest + 1)["splits"] == 0
+    assert load_manifest(main).splits == []

@@ -22,8 +22,7 @@ from data_hub_ejp_xml_pipeline_ray.sources.synthetic import (
 from data_hub_ejp_xml_pipeline_ray.sources.wal import (
     JSONL_SEGMENT_GLOB,
     list_segments,
-    segment_row_counts,
-    segment_schemas,
+    segment_footers,
 )
 
 GEN = dict(seed=7, n_urls=80, n_events=600, n_segments=4, v2_from_segment=2)
@@ -47,15 +46,19 @@ def test_jsonl_schema_is_canonical(twin_wals):
     """Head-sample inference + name canon == the parquet footer schema
     (same unified wire schema from either encoding)."""
     pw, jw = twin_wals
-    ps = unify_many(segment_schemas(list_segments(pw)))
-    js = unify_many(segment_schemas(list_segments(jw, JSONL_SEGMENT_GLOB)))
+    ps = unify_many([sch for sch, _ in segment_footers(list_segments(pw))])
+    js = unify_many([
+        sch for sch, _ in segment_footers(list_segments(jw, JSONL_SEGMENT_GLOB))
+    ])
     assert js.equals(ps)
 
 
 def test_segment_row_counts_both_formats(twin_wals):
     pw, jw = twin_wals
-    n_pq = segment_row_counts(list_segments(pw))
-    n_js = segment_row_counts(list_segments(jw, JSONL_SEGMENT_GLOB))
+    n_pq = sum(n for _, n in segment_footers(list_segments(pw)))
+    n_js = sum(
+        n for _, n in segment_footers(list_segments(jw, JSONL_SEGMENT_GLOB))
+    )
     assert n_pq == n_js == (GEN["n_events"] // GEN["n_segments"]) * GEN["n_segments"]
 
 

@@ -11,7 +11,7 @@ from data_hub_ejp_xml_pipeline_ray.sources.synthetic import generate_wal
 from data_hub_ejp_xml_pipeline_ray.sources.wal import (
     list_segments,
     read_segment,
-    segment_schemas,
+    segment_footers,
     segments_after,
 )
 
@@ -101,7 +101,7 @@ def test_unified_read_across_schema_versions(tmp_path):
     d = os.path.join(str(tmp_path), "wal")
     generate_wal(d, seed=3, n_urls=10, n_events=100, n_segments=4, v2_from_segment=2)
     segs = list_segments(d)
-    wire = unify_many(segment_schemas(segs))
+    wire = unify_many([sch for sch, _ in segment_footers(segs)])
     assert wire.field("fetch_status").type == pa.int64()  # widened
     assert "content_type" in wire.names
     table = pa.concat_tables(
