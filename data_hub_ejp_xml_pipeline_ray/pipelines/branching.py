@@ -41,9 +41,16 @@ from __future__ import annotations
 import os
 import re
 import shutil
+from functools import partial
 
 import pyarrow as pa
 
+from ..stages.merge import (
+    map_partitions,
+    read_effective_partition,
+    reduce_fn_for_kind,
+    write_partition,
+)
 from ..state.checkpoint import (
     BRANCHES_DIR,
     DATA_DIR,
@@ -301,6 +308,23 @@ def publish_branch(
     }
 
 
+def _merge_partition(
+    lake_dir: str, bdir: str, token: str, schema, kind: str,
+    main_files: dict[int, list[str]], branch_files: dict[int, list[str]],
+    renames: list, part: int,
+) -> dict:
+    """One branch-written partition: LWW over main's and the branch's
+    effective states, written as main's new base file."""
+    sides = [
+        read_effective_partition(
+            d, part, files[part], schema, kind=kind, renames=renames,
+        )
+        for d, files in ((lake_dir, main_files), (bdir, branch_files))
+    ]
+    merged = reduce_fn_for_kind(kind)(pa.concat_tables(sides))
+    return write_partition(lake_dir, part, token, merged)
+
+
 def merge_branch(
     lake_dir: str, name: str, *,
     audit_constraints: list | None = None,
@@ -319,9 +343,11 @@ def merge_branch(
     is harmless (the crash/replay law), and a main-side delete newer
     than the branch's row correctly survives the merge.
 
-    One partition-merge Ray task per branch-written partition (reads
-    two partitions' files, writes one — never the whole lake; shuffle
-    volume is O(branch-touched partitions)). The new files are
+    Each branch-written partition is merged on the shared partition
+    tasks (``stages.merge.map_partitions``): it reads two partitions'
+    files and writes one — never the whole lake; shuffle volume is
+    O(branch-touched partitions). Each task gets the file lists of
+    both heads as read under the locks. The new files are
     content-addressed by a token deterministic in (branch, fork, both
     head versions), so a crashed merge retries idempotently.
 
@@ -337,13 +363,7 @@ def merge_branch(
     The merged watermark is ``max(main, branch)`` (segment names are
     totally ordered), so tailing resumes past whatever EITHER side
     consumed."""
-    import ray
-
     from ..schemas import merge_schemas
-    from ..stages.merge import (
-        DELETED_COL, read_effective_partition, reduce_fn_for_kind,
-    )
-    from ..state.checkpoint import partition_file_relpath
 
     _require_not_branch(lake_dir)
     bdir = branch_dir(lake_dir, name)
@@ -393,40 +413,12 @@ def merge_branch(
             )
         schema = merge_schemas(parent.schema, branch.schema)
         token = f"merge-{name}-f{fork_v}h{branch.version}-v{parent.version + 1}"
-        kind = parent.kind
-
-        @ray.remote(num_cpus=1)
-        def merge_part(part: int) -> dict:
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-
-            main_side = read_effective_partition(
-                lake_dir, part, load_manifest(lake_dir).part_files(part),
-                schema, kind=kind, renames=parent.renames,
-            )
-            branch_side = read_effective_partition(
-                bdir, part, load_manifest(bdir).part_files(part),
-                schema, kind=kind, renames=branch.renames,
-            )
-            merged = reduce_fn_for_kind(kind)(
-                pa.concat_tables([main_side, branch_side])
-            )
-            if merged.num_rows == 0:
-                return {"part": part, "path": None, "rows": 0, "bytes": 0,
-                        "tombstones": 0}
-            from ..state.iofs import write_table_atomic
-
-            rel = partition_file_relpath(part, token)
-            out = os.path.join(lake_dir, rel)
-            nbytes = write_table_atomic(merged, out)
-            tombs = (
-                int(pa.compute.sum(merged.column(DELETED_COL)).as_py() or 0)
-                if DELETED_COL in merged.column_names else 0
-            )
-            return {"part": part, "path": rel, "rows": merged.num_rows,
-                    "bytes": nbytes, "tombstones": tombs}
-
-        stats = ray.get([merge_part.remote(p) for p in touched])
+        stats = map_partitions(partial(
+            _merge_partition, lake_dir, bdir, token, schema, parent.kind,
+            {p: parent.part_files(p) for p in touched},
+            {p: branch.part_files(p) for p in touched},
+            parent.renames,
+        ), touched)
         watermark = max(
             (w for w in (parent.watermark, branch.watermark) if w is not None),
             default=None,

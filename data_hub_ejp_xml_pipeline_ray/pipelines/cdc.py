@@ -11,8 +11,9 @@ sequential Python loop becomes two waves of plain Ray tasks —
                #  combine (skew defense) + HTML->text extract (drops
                #  html) + crc32(url) % P split + per-partition row-group
                #  spill == push-based shuffle to storage
-      -> _merge_partitions tasks (<= 1 per CPU)      # reduce side: base +
-               #  deltas -> LWW -> immutable content-addressed file
+      -> merge tasks (<= 1 per CPU, stages/merge.map_partitions)
+               #  reduce side: base + deltas -> LWW -> immutable
+               #  content-addressed file (stages/merge.write_partition)
       -> driver: atomic manifest commit            # exactly-once
 
 The exchange spills to storage rather than using Ray's sort-based
@@ -37,15 +38,16 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
-from ray.exceptions import RaySystemError
 
 from ..schemas import WIRE_ONLY_COLUMNS, merge_schemas, unify_many
 from ..sources import wal as wal_source
 from ..stages.merge import (
     DELETED_COL,
     ERROR_PART,
+    TASK_OPTIONS,
     ExtractCombineSpill,
     PartitionMerger,
+    map_partitions,
 )
 from ..state.checkpoint import (
     ConcurrentWriterError,
@@ -209,18 +211,7 @@ def _gc_stale_staging(staging_root: str) -> None:
 #: task and one spill file.
 MIN_SLICE_ROWS = 15_000
 
-#: Ray Data's own task options (``ray.data._internal.remote_fn``): a
-#: task lost with its worker or node is retried without limit, and
-#: placement is Ray's default locality-aware policy.
-_TASK_OPTIONS = dict(
-    num_cpus=1,
-    max_retries=-1,
-    retry_exceptions=[RaySystemError],
-    scheduling_strategy="DEFAULT",
-)
-
-
-@ray.remote(**_TASK_OPTIONS)
+@ray.remote(**TASK_OPTIONS)
 def _spill_segment(stage, seg, rows) -> pa.Table:
     """Phase-1 task: read one segment (or a row slice of it) and run the
     lane's fused stage over it; returns the spill-manifest rows. The
@@ -228,14 +219,6 @@ def _spill_segment(stage, seg, rows) -> pa.Table:
     set and paths (~0.03 ms)."""
     spill_cls, stage_kwargs = stage
     return spill_cls(**stage_kwargs)(wal_source.read_segment(seg, rows))
-
-
-# 3 retries, not -1: a merge that always kills its worker (say, out of
-# memory on a large base plus MOR deltas) must fail the commit, not hang.
-@ray.remote(**{**_TASK_OPTIONS, "max_retries": 3})
-def _merge_partitions(merger: PartitionMerger, parts: list) -> list:
-    """Phase-2 task: merge a group of partitions, one stats row each."""
-    return [merger.merge_one(p) for p in parts]
 
 
 def _phase1_plan(
@@ -259,7 +242,7 @@ def _phase1_plan(
 
 def _ingest_one_batch(
     cfg: CdcConfig, manifest: LakeManifest, segments: list[wal_source.SegmentMeta],
-    *, spill_cls=None, lake_schema_fn=None, reduce_fn=None,
+    *, spill_cls=None, lake_schema_fn=None,
     watermark_override: str | None = None, lineage_extra: dict | None = None,
 ) -> tuple[LakeManifest, dict[str, int]]:
     """Process one micro-batch of segments and commit. Pure function of
@@ -375,34 +358,12 @@ def _ingest_one_batch(
     touched_parts = sorted(delta_map)
 
     # --- Exchange phase 2 (reduce side): per-partition merge ---------
-    stats: list = []
-    if touched_parts:
-        merger = PartitionMerger(
-            lake_dir=cfg.lake_dir,
-            delta_map=delta_map,
-            base_partitions=manifest.partitions,
-            lake_schema=new_lake_schema,
-            token=token,
-            reduce_fn=reduce_fn,
-            mode=cfg.merge_mode,
-            base_deltas=manifest.delta_files,
-            renames=manifest.renames,
-        )
-        merger_ref = ray.put(merger)
-        # at most `cpus` tasks: a per-partition merge of a small batch
-        # is a tiny delta write, so per-task dispatch would dominate
-        group_size = -(-len(touched_parts) // cpus)
-        groups = [
-            touched_parts[i : i + group_size]
-            for i in range(0, len(touched_parts), group_size)
-        ]
-        stats = [
-            s
-            for chunk in ray.get(
-                [_merge_partitions.remote(merger_ref, g) for g in groups]
-            )
-            for s in chunk
-        ]
+    merger = PartitionMerger(
+        cfg.lake_dir, delta_map, new_lake_schema, token,
+        kind=manifest.kind, mode=cfg.merge_mode, renames=manifest.renames,
+        prior_files={p: manifest.part_files(p) for p in touched_parts},
+    )
+    stats = map_partitions(merger.merge_one, touched_parts)
 
     phase2_s = _time.perf_counter() - t0
     if trace:
@@ -522,11 +483,14 @@ def _wait_for_writer(cfg: CdcConfig) -> None:
 
 
 def run_ingest(
-    cfg: CdcConfig, *, spill_cls=None, lake_schema_fn=None, reduce_fn=None,
+    cfg: CdcConfig, *, spill_cls=None, lake_schema_fn=None,
     kind: str = "row",
 ) -> IngestReport:
     """Tail the WAL past the committed watermark and merge everything
-    new, in segment order, committing once per micro-batch. Idempotent:
+    new, in segment order, committing once per micro-batch. The merge's
+    LWW reduction follows the lake's ``kind`` (``row`` keeps one winner
+    row per url, ``group`` the winning version's whole row-set,
+    :func:`..stages.merge.reduce_fn_for_kind`). Idempotent:
     calling with no new segments is a no-op; re-calling after a crash
     converges to the same lake state (tests assert this)."""
     if cfg.constraints and not cfg.quarantine:
@@ -561,7 +525,6 @@ def run_ingest(
         manifest, stats = _ingest_one_batch(
             cfg, manifest, chunk,
             spill_cls=spill_cls, lake_schema_fn=lake_schema_fn,
-            reduce_fn=reduce_fn,
         )
         report.commits += 1
         report.segments_processed += [s.name for s in chunk]
@@ -583,13 +546,11 @@ def run_entity_ingest(cfg: CdcConfig) -> IngestReport:
     from the page lake; the two ingests are independent consumers of
     the same WAL, each exactly-once)."""
     from ..stages.entities import EntityExtractCombineSpill, entity_lake_schema
-    from ..stages.merge import lww_winner_rows
 
     return run_ingest(
         cfg,
         spill_cls=EntityExtractCombineSpill,
         lake_schema_fn=entity_lake_schema,
-        reduce_fn=lww_winner_rows,
         kind="group",
     )
 
@@ -1614,12 +1575,10 @@ def redrive_errors(cfg: CdcConfig, fixer=None) -> dict:
             EntityExtractCombineSpill,
             entity_lake_schema,
         )
-        from ..stages.merge import lww_winner_rows
 
         pipeline_kw = dict(
             spill_cls=EntityExtractCombineSpill,
             lake_schema_fn=entity_lake_schema,
-            reduce_fn=lww_winner_rows,
         )
     else:
         if manifest.schema is not None and any(

@@ -20,9 +20,10 @@ ONE ordinary new lake version, expressed as LWW events:
 Scale shape: candidate partitions come from the scan planner
 (``state.zones.plan_parts`` — url hash routing + manifest zone maps),
 so a predicate that zones prove absent from most of a 100-TB lake
-touches only the possible partitions. Each candidate partition is ONE
-Ray task that reads its effective state (base + MOR deltas,
-kind-appropriate LWW) and appends ONE merge-on-read delta file holding
+touches only the possible partitions. Each candidate partition is read
+in its effective state (base + MOR deltas, kind-appropriate LWW) on the
+shared partition tasks (``stages.merge.map_partitions``, at most one
+per CPU) and gains ONE merge-on-read delta file holding
 only the CHANGED rows — write amplification is O(matched rows), the
 base is never rewritten, and the result reads identically on CoW and
 MOR lakes because ``delta_files`` are first-class snapshot references
@@ -53,20 +54,24 @@ from __future__ import annotations
 
 import hashlib
 import json as _json
-import os
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..schemas import conform_table
-from ..stages.merge import DELETED_COL, read_effective_partition
+from ..stages.merge import (
+    DELETED_COL,
+    map_partitions,
+    read_effective_partition,
+    write_partition,
+    written_partition,
+)
 from ..state.checkpoint import (
     commit_manifest,
     gc_unreferenced,
     load_manifest,
-    partition_delta_relpath,
     verify_lock,
     writer_lock,
 )
@@ -161,6 +166,36 @@ def _changed_rows(
     return conform_table(delta, schema), matched
 
 
+def _dml_partition(
+    lake_dir: str, token: str, files: dict[int, list[str]], schema: pa.Schema,
+    kind: str, renames: list, expr, set_values: dict | None, part: int,
+) -> dict | None:
+    """Read one candidate partition's effective state, apply the
+    predicate, append ONE delta file of changed rows (None when nothing
+    matched). Idempotent: the output path is a pure function of (op,
+    predicate, SET, base version, partition), and a file a crashed
+    attempt already wrote is reused."""
+    done = written_partition(lake_dir, part, token, delta=True)
+    if done is not None:
+        return {**done, "matched": done["rows"]}
+    eff = read_effective_partition(
+        lake_dir, part, files[part], schema, kind=kind, renames=renames,
+    )
+    if DELETED_COL in eff.column_names:
+        eff = eff.filter(pc.fill_null(pc.invert(eff.column(DELETED_COL)), True))
+    if eff.num_rows == 0:
+        return None
+    delta, matched = _changed_rows(
+        eff, _match_mask(eff, expr), schema, set_values=set_values
+    )
+    if matched == 0:
+        return None
+    return {
+        **write_partition(lake_dir, part, token, delta, delta=True),
+        "matched": matched,
+    }
+
+
 def _dml_commit(
     lake_dir: str,
     constraints: list,
@@ -206,68 +241,14 @@ def _dml_commit(
                 default=str,
             ).encode()
         ).hexdigest()[:12]
-        kind = manifest.kind
-
-        def one_partition(part: int, rels: list[str]) -> dict | None:
-            """Read one candidate partition's effective state, apply
-            the predicate, append ONE delta file of changed rows.
-            Idempotent: the output path is a pure function of
-            (op, predicate, SET, base version, partition)."""
-            pa.set_cpu_count(1)
-            pa.set_io_thread_count(2)
-            from ..state.iofs import file_exists, file_size, write_table_atomic
-
-            rel = partition_delta_relpath(part, token)
-            out_path = os.path.join(lake_dir, rel)
-            if file_exists(out_path):  # crash-retry resume
-                f = pq.ParquetFile(out_path)
-                t = f.read(columns=[DELETED_COL])
-                return {
-                    "part": part, "path": rel,
-                    "rows": f.metadata.num_rows,
-                    "bytes": file_size(out_path),
-                    "tombstones": int(
-                        pc.sum(pc.fill_null(t.column(DELETED_COL), False))
-                        .as_py() or 0
-                    ),
-                    "matched": f.metadata.num_rows, "resumed": True,
-                }
-            eff = read_effective_partition(
-                lake_dir, part, rels, schema, kind=kind,
-                renames=manifest.renames,
-            )
-            if DELETED_COL in eff.column_names:
-                alive = pc.fill_null(pc.invert(eff.column(DELETED_COL)), True)
-                live = eff.filter(alive)
-            else:
-                live = eff
-            if live.num_rows == 0:
-                return None
-            mask = _match_mask(live, expr)
-            delta, matched = _changed_rows(
-                live, mask, schema, set_values=set_values
-            )
-            if matched == 0:
-                return None
-            tombstones = int(
-                pc.sum(pc.fill_null(delta.column(DELETED_COL), False))
-                .as_py() or 0
-            )
-            nbytes = write_table_atomic(delta, out_path)
-            return {
-                "part": part, "path": rel, "rows": delta.num_rows,
-                "bytes": nbytes,
-                "tombstones": tombstones, "matched": matched,
-            }
-
-        import ray
-
-        task = ray.remote(num_cpus=1)(one_partition)
-        results = [
-            r for r in ray.get([
-                task.remote(p, manifest.part_files(p)) for p in kept
-            ]) if r is not None
-        ]
+        results = [r for r in map_partitions(
+            partial(
+                _dml_partition, lake_dir, token,
+                {p: manifest.part_files(p) for p in kept}, schema,
+                manifest.kind, manifest.renames, expr, set_values,
+            ),
+            kept,
+        ) if r is not None]
         rows_matched = sum(r["matched"] for r in results)
         if not results:
             verify_lock(lake_dir, lock_token)

@@ -10,18 +10,31 @@ compaction physically drops tombstone rows and re-commits.
 Only partitions whose manifest stats show ``tombstones > 0`` are
 rewritten — the others are untouched (manifest entries carried over),
 so compaction cost is proportional to the deleted set, not the lake.
+
+Every partition rewrite here (compaction, delta folding, split,
+cluster, purge) runs on the ingest merge's own path: plain Ray tasks,
+at most one per CPU (``stages.merge.map_partitions``), each reading a
+partition's effective base+deltas state and publishing through
+``stages.merge.write_partition``. Only stats rows come back.
 """
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data
+import ray
 
-from ..stages.merge import DELETED_COL
+from ..stages.merge import (
+    DELETED_COL,
+    count_tombstones,
+    map_partitions,
+    read_effective_partition,
+    write_partition,
+)
 from ..state.checkpoint import (
     DATA_DIR,
     DELTA_STAT_KEYS,
@@ -146,7 +159,6 @@ def clone_lake(
     source's retention sweep delete files the clone still references —
     the classic shallow-clone footgun; at 100 TB, clone cost is one
     sequential copy of the LIVE snapshot (not the history)."""
-    import shutil
 
     m = load_manifest(src_dir, version=version)
     if m is None:
@@ -271,8 +283,6 @@ def purge_urls(lake_dir: str, urls: list[str]) -> dict:
         resolve_partition,
         snapshot_path,
     )
-    from ..state.zones import file_zone_doc
-
     urls = sorted(set(urls))
     if not urls:
         raise ValueError("purge_urls needs at least one url")
@@ -318,59 +328,10 @@ def purge_urls(lake_dir: str, urls: list[str]) -> dict:
         ptoken = hashlib.sha1(
             ("purge\x00" + "\x00".join(urls)).encode()
         ).hexdigest()[:12]
-        value_set = pa.array(urls, pa.string())
-
-        def scrub_one(rel: str) -> dict:
-            """Rewrite one file without the purged urls. Idempotent:
-            the output name is a pure function of (file, url-set)."""
-            from ..state.iofs import file_size, write_table_atomic
-
-            path = os.path.join(lake_dir, rel)
-            t = pq.read_table(path)
-            mask = pc.is_in(t.column("url"), value_set=value_set)
-            removed = int(pc.sum(mask).as_py() or 0)
-            if removed == 0:
-                return {"rel": rel, "new_rel": rel, "removed": 0}
-            kept = t.filter(pc.invert(mask))
-            rm = t.filter(mask)
-
-            def tombs(tt: pa.Table) -> int:
-                if DELETED_COL not in tt.column_names:
-                    return 0
-                return int(
-                    pc.sum(pc.fill_null(tt.column(DELETED_COL), False))
-                    .as_py() or 0
-                )
-
-            old_bytes = file_size(path)
-            if kept.num_rows == 0:
-                return {
-                    "rel": rel, "new_rel": None, "removed": removed,
-                    "removed_tombstones": tombs(rm), "rows": 0,
-                    "tombstones": 0, "bytes": 0, "old_bytes": old_bytes,
-                    "zone": None,
-                }
-            stem, suffix = rel, ""
-            for s in (".delta.parquet", ".parquet"):
-                if rel.endswith(s):
-                    stem, suffix = rel[: -len(s)], s
-                    break
-            new_rel = f"{stem}-purge-{ptoken}{suffix}"
-            out_path = os.path.join(lake_dir, new_rel)
-            nbytes = write_table_atomic(kept, out_path)
-            return {
-                "rel": rel, "new_rel": new_rel, "removed": removed,
-                "removed_tombstones": tombs(rm), "rows": kept.num_rows,
-                "tombstones": tombs(kept),
-                "bytes": nbytes,
-                "old_bytes": old_bytes,
-                "zone": file_zone_doc(out_path),
-            }
-
-        import ray
-
-        scrub_task = ray.remote(num_cpus=1)(scrub_one)
-        results = ray.get([scrub_task.remote(rel) for rel in sorted(candidates)])
+        results = map_partitions(
+            partial(_scrub_file, lake_dir, pa.array(urls, pa.string()), ptoken),
+            sorted(candidates),
+        )
         remap = {r["rel"]: r for r in results if r["new_rel"] != r["rel"]}
         rows_purged = sum(r["removed"] for r in results)
         already = set(list_purged(lake_dir))
@@ -494,6 +455,39 @@ def purge_urls(lake_dir: str, urls: list[str]) -> dict:
     }
 
 
+def _scrub_file(lake_dir: str, value_set: pa.Array, ptoken: str, rel: str) -> dict:
+    """Rewrite one data file of a purge without the purged urls, under
+    the per-file name ``<stem>-purge-<ptoken>``. Idempotent: the output
+    name is a pure function of (file, url-set)."""
+    from ..state.iofs import file_size, write_table_atomic
+    from ..state.zones import file_zone_doc
+
+    path = os.path.join(lake_dir, rel)
+    t = pq.read_table(path)
+    mask = pc.is_in(t.column("url"), value_set=value_set)
+    removed = int(pc.sum(mask).as_py() or 0)
+    if removed == 0:
+        return {"rel": rel, "new_rel": rel, "removed": 0}
+    kept = t.filter(pc.invert(mask))
+    out = {
+        "rel": rel, "new_rel": None, "removed": removed,
+        "removed_tombstones": count_tombstones(t.filter(mask)),
+        "rows": kept.num_rows, "tombstones": count_tombstones(kept),
+        "bytes": 0, "old_bytes": file_size(path), "zone": None,
+    }
+    if kept.num_rows:
+        stem, suffix = rel, ""
+        for s in (".delta.parquet", ".parquet"):
+            if rel.endswith(s):
+                stem, suffix = rel[: -len(s)], s
+                break
+        out["new_rel"] = f"{stem}-purge-{ptoken}{suffix}"
+        out_path = os.path.join(lake_dir, out["new_rel"])
+        out["bytes"] = write_table_atomic(kept, out_path)
+        out["zone"] = file_zone_doc(out_path)
+    return out
+
+
 def rewind_watermark(lake_dir: str, to: str | None = None) -> dict:
     """Controlled BACKFILL: move the tailer high-watermark BACKWARD so
     the next ingest reprocesses WAL segments after ``to`` (``None`` =
@@ -545,76 +539,48 @@ def compact_lake(lake_dir: str) -> dict:
         return _compact_locked(lake_dir, lock_token)
 
 
-def _fold_rewrite(
-    lake_dir: str, manifest: LakeManifest, parts: list[int], token: str,
-    *, drop_tombstones: bool,
-) -> list[dict]:
-    """Rewrite each target partition from its EFFECTIVE state — base
-    file plus any pending merge-on-read delta files, LWW-reduced with
-    the lake-kind-appropriate kernel — into one fresh base file.
-    ``drop_tombstones`` additionally drops tombstone rows (tombstone
-    compaction). One Ray task batch per partition; counters only come
-    back to the driver. Returns per-partition stat rows; ``path`` is
-    None when a partition compacts to zero rows."""
-    import json as _json
-
-    schema, kind = manifest.schema, manifest.kind
-    renames = [list(x) for x in manifest.renames]
-    work = pa.table({
-        "part": pa.array(parts, pa.int64()),
-        "rels": pa.array(
-            [_json.dumps(manifest.part_files(p)) for p in parts], pa.string()
+def _rewrite_effective(
+    lake_dir: str, manifest: LakeManifest, parts: list[int], write,
+) -> list:
+    """``write(part, table)`` over each target partition's EFFECTIVE
+    state — base file plus any pending merge-on-read delta files,
+    LWW-reduced with the lake-kind-appropriate kernel, tombstones
+    retained — on the shared partition tasks; only ``write``'s stats
+    rows come back. Every maintenance rewrite starts
+    from the effective state, so pending deltas fold in."""
+    return map_partitions(
+        partial(
+            _read_and_write, lake_dir,
+            {p: manifest.part_files(p) for p in parts},
+            manifest.schema, manifest.kind, manifest.renames, write,
         ),
-    })
+        parts,
+    )
 
-    def rewrite(batch: pa.Table) -> pa.Table:
-        from ..stages.merge import read_effective_partition
 
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
-        out = {k: [] for k in ("part", "path", "rows", "tombstones", "bytes",
-                               "dropped")}
-        for part, rels_json in zip(
-            batch.column("part").to_pylist(), batch.column("rels").to_pylist()
-        ):
-            table = read_effective_partition(
-                lake_dir, int(part), _json.loads(rels_json), schema,
-                kind=kind, renames=renames,
-            )
-            kept = table
-            if drop_tombstones and DELETED_COL in table.column_names:
-                mask = pc.fill_null(pc.invert(table.column(DELETED_COL)), True)
-                kept = table.filter(mask)
-            tombs = (
-                int(pc.sum(pc.fill_null(kept.column(DELETED_COL), False))
-                    .as_py() or 0)
-                if DELETED_COL in kept.column_names else 0
-            )
-            out["part"].append(part)
-            out["rows"].append(kept.num_rows)
-            out["tombstones"].append(tombs)
-            out["dropped"].append(table.num_rows - kept.num_rows)
-            if kept.num_rows == 0:
-                out["path"].append(None)
-                out["bytes"].append(0)
-                continue
-            from ..state.iofs import write_table_atomic
+def _read_and_write(lake_dir, files, schema, kind, renames, write, part):
+    return write(part, read_effective_partition(
+        lake_dir, part, files[part], schema, kind=kind, renames=renames,
+    ))
 
-            new_rel = os.path.join(DATA_DIR, f"part-{part:05d}-{token}.parquet")
-            out_path = os.path.join(lake_dir, new_rel)
-            out["path"].append(new_rel)
-            out["bytes"].append(write_table_atomic(kept, out_path))
-        return pa.table({
-            "part": pa.array(out["part"], pa.int64()),
-            "path": pa.array(out["path"], pa.string()),
-            "rows": pa.array(out["rows"], pa.int64()),
-            "tombstones": pa.array(out["tombstones"], pa.int64()),
-            "bytes": pa.array(out["bytes"], pa.int64()),
-            "dropped": pa.array(out["dropped"], pa.int64()),
-        })
 
-    ds = ray.data.from_arrow(work).repartition(min(len(parts), 32))
-    return ds.map_batches(rewrite, batch_format="pyarrow").take_all()
+def _fold_write(
+    lake_dir: str, token: str, drop_tombstones: bool,
+    part: int, table: pa.Table,
+) -> dict:
+    """One partition's effective state as one fresh base file;
+    ``drop_tombstones`` additionally drops tombstone rows (tombstone
+    compaction). ``path`` is None when the partition folds to zero
+    rows."""
+    kept = table
+    if drop_tombstones and DELETED_COL in table.column_names:
+        kept = table.filter(
+            pc.fill_null(pc.invert(table.column(DELETED_COL)), True)
+        )
+    return {
+        **write_partition(lake_dir, part, token, kept),
+        "dropped": table.num_rows - kept.num_rows,
+    }
 
 
 def _compact_locked(lake_dir: str, lock_token: str) -> dict:
@@ -634,10 +600,9 @@ def _compact_locked(lake_dir: str, lock_token: str) -> dict:
     if not targets:
         return {"partitions_rewritten": 0, "tombstones_dropped": 0}
 
-    token = f"compact-{manifest.version + 1}"
-    stats = _fold_rewrite(
-        lake_dir, manifest, targets, token, drop_tombstones=True
-    )
+    stats = _rewrite_effective(lake_dir, manifest, targets, partial(
+        _fold_write, lake_dir, f"compact-{manifest.version + 1}", True,
+    ))
     dropped_total = sum(int(r["dropped"]) for r in stats)
     new_manifest = manifest.successor({
         "op": "compact",
@@ -676,10 +641,10 @@ def compact_deltas(lake_dir: str) -> dict:
         if not targets:
             return {"partitions_rewritten": 0, "delta_files_folded": 0}
         folded = sum(len(v) for v in manifest.delta_files.values())
-        token = f"deltacompact-{manifest.version + 1}"
-        stats = _fold_rewrite(
-            lake_dir, manifest, targets, token, drop_tombstones=False
-        )
+        stats = _rewrite_effective(lake_dir, manifest, targets, partial(
+            _fold_write, lake_dir, f"deltacompact-{manifest.version + 1}",
+            False,
+        ))
         new_manifest = manifest.successor({
             "op": "compact_deltas",
             "partitions_rewritten": len(stats),
@@ -704,66 +669,23 @@ def split_partition(lake_dir: str, part: int) -> dict:
     without touching any other partition. The split is recorded in the
     manifest's ``splits`` map — ingest/lookup routing resolves through
     it forever, so the crc32 partitioning contract survives. Runs the
-    rewrite in a Ray task (the partition may be large); commits CAS
-    under the writer lock.
+    rewrite in a Ray task (the partition may be large), outside the
+    lock; commits CAS under the writer lock.
 
     At 100x data with a fixed P this is the maintenance valve the r1
     audit called for: ``partition_meta`` carries per-partition bytes to
     drive :func:`split_overflowing`."""
-    import ray
-
     manifest = load_manifest(lake_dir)
     if manifest is None:
         raise FileNotFoundError(f"no committed lake at {lake_dir}")
     if part not in manifest.partitions and part not in manifest.delta_files:
         raise KeyError(f"partition {part} not live in {lake_dir}")
-    splits = manifest.split_set()
-    m = residue_modulus(part, manifest.num_partitions, splits)
-    rels = manifest.part_files(part)
-    token = f"split-{manifest.version + 1}"
-    schema, kind = manifest.schema, manifest.kind
-    renames = [list(x) for x in manifest.renames]
-
-    @ray.remote(num_cpus=1)
-    def rewrite_children(rel_list: list[str], r: int, mod: int) -> list[dict]:
-        import numpy as np
-        import pyarrow as _pa
-
-        from ..stages.merge import (
-            DELETED_COL as _DEL,
-            crc32_column,
-            read_effective_partition,
-        )
-
-        _pa.set_cpu_count(1)
-        # effective base+deltas state: a split folds any pending MOR
-        # deltas into the children (tombstones retained)
-        table = read_effective_partition(
-            lake_dir, r, rel_list, schema, kind=kind, renames=renames,
-        )
-        crc = crc32_column(table.column("url")).astype(np.int64)
-        child = crc % (2 * mod)
-        out = []
-        for c in (r, r + mod):
-            sub = table.filter(_pa.array(child == c))
-            if sub.num_rows == 0:
-                continue
-            from ..state.iofs import write_table_atomic
-
-            new_rel = os.path.join("data", f"part-{c:05d}-{token}.parquet")
-            out_path = os.path.join(lake_dir, new_rel)
-            nbytes = write_table_atomic(sub, out_path)
-            tomb = (
-                int(pc.sum(sub.column(_DEL)).as_py() or 0)
-                if _DEL in sub.column_names else 0
-            )
-            out.append({
-                "part": c, "path": new_rel, "rows": sub.num_rows,
-                "tombstones": tomb, "bytes": nbytes,
-            })
-        return out
-
-    children = ray.get(rewrite_children.remote(rels, part, m))
+    m = residue_modulus(part, manifest.num_partitions, manifest.split_set())
+    # the children hold the effective state: pending MOR deltas fold in
+    # (tombstones retained)
+    (children,) = _rewrite_effective(lake_dir, manifest, [part], partial(
+        _split_write, lake_dir, f"split-{manifest.version + 1}", m,
+    ))
     with writer_lock(lake_dir) as lock_token:
         current = load_manifest(lake_dir)
         new_manifest = current.successor({
@@ -786,6 +708,21 @@ def split_partition(lake_dir: str, part: int) -> dict:
         "parent": part, "modulus": m,
         "children": {int(c["part"]): int(c["rows"]) for c in children},
     }
+
+
+def _split_write(
+    lake_dir: str, token: str, mod: int, part: int, table: pa.Table,
+) -> list[dict]:
+    """Partition ``(part, mod)``'s rows as its two children's base files
+    (``crc32 % 2*mod``); a child with no rows gets no file."""
+    from ..stages.merge import crc32_column
+
+    child = crc32_column(table.column("url")).astype(np.int64) % (2 * mod)
+    out = [
+        write_partition(lake_dir, c, token, table.filter(pa.array(child == c)))
+        for c in (part, part + mod)
+    ]
+    return [row for row in out if row["path"] is not None]
 
 
 def split_overflowing(lake_dir: str, max_partition_bytes: int) -> dict:
@@ -837,6 +774,22 @@ def _zorder_indices(table: pa.Table, keys: list[str]) -> pa.Array:
     return pa.array(np.argsort(z, kind="stable").astype(np.int64))
 
 
+def _cluster_write(
+    lake_dir: str, token: str, keys: list[str], method: str,
+    row_group_rows: int, part: int, table: pa.Table,
+) -> dict:
+    """One partition's effective state sorted by ``keys`` (z-order for
+    several keys under ``method="zorder"``) as one fresh base file with
+    row groups of ``row_group_rows``."""
+    if method == "zorder" and len(keys) > 1:
+        idx = _zorder_indices(table, keys)
+    else:
+        idx = pc.sort_indices(table, sort_keys=[(k, "ascending") for k in keys])
+    return write_partition(
+        lake_dir, part, token, table.take(idx), row_group_size=row_group_rows
+    )
+
+
 def cluster_lake(
     lake_dir: str,
     sort_by: "list[str] | str" = "url",
@@ -854,9 +807,10 @@ def cluster_lake(
 
     Logical state is unchanged (a pure layout rewrite, like
     compaction): the commit bumps the version with op ``cluster`` so
-    the change feed correctly reports zero row changes across it. One
-    Ray task per partition file; cost is one read + sort + write of
-    each partition, so run it off the ingest path (the reference has no
+    the change feed correctly reports zero row changes across it. The
+    partitions are rewritten on the shared partition tasks (at most one
+    per CPU); cost is one read + sort + write of each partition, so run
+    it off the ingest path (the reference has no
     analog — its store is append-only JSONL into BigQuery).
     """
     keys = [sort_by] if isinstance(sort_by, str) else list(sort_by)
@@ -875,73 +829,12 @@ def cluster_lake(
         targets = manifest.all_parts()
         if not targets:
             return {"partitions_rewritten": 0, "sort_by": keys}
-        token = f"cluster-{manifest.version + 1}"
-        import json as _json
-
-        schema, kind = manifest.schema, manifest.kind
-        renames = [list(x) for x in manifest.renames]
-        work_tbl = pa.table({
-            "part": pa.array(targets, pa.int64()),
-            "rels": pa.array(
-                [_json.dumps(manifest.part_files(p)) for p in targets],
-                pa.string(),
-            ),
-        })
-
-        def rewrite(batch: pa.Table) -> pa.Table:
-            from ..stages.merge import read_effective_partition
-
-            pa.set_cpu_count(1)
-            pa.set_io_thread_count(2)
-            out_parts, out_paths, out_rows, out_tombs, out_bytes = (
-                [], [], [], [], []
-            )
-            for part, rels_json in zip(
-                batch.column("part").to_pylist(),
-                batch.column("rels").to_pylist(),
-            ):
-                # effective base+deltas state — clustering rewrites the
-                # partition anyway, so pending MOR deltas fold in free
-                table = read_effective_partition(
-                    lake_dir, int(part), _json.loads(rels_json), schema,
-                    kind=kind, renames=renames,
-                )
-                if method == "zorder" and len(keys) > 1:
-                    idx = _zorder_indices(table, keys)
-                else:
-                    idx = pc.sort_indices(
-                        table, sort_keys=[(k, "ascending") for k in keys]
-                    )
-                table = table.take(idx)
-                from ..state.iofs import write_table_atomic
-
-                new_rel = os.path.join("data", f"part-{part:05d}-{token}.parquet")
-                out_path = os.path.join(lake_dir, new_rel)
-                nbytes_out = write_table_atomic(
-                    table, out_path, row_group_size=row_group_rows
-                )
-                out_parts.append(part)
-                out_paths.append(new_rel)
-                out_rows.append(table.num_rows)
-                out_tombs.append(
-                    int(pc.sum(pc.fill_null(table.column(DELETED_COL), False))
-                        .as_py() or 0)
-                    if DELETED_COL in table.column_names else 0
-                )
-                out_bytes.append(nbytes_out)
-            return pa.table(
-                {"part": pa.array(out_parts, pa.int64()),
-                 "path": pa.array(out_paths, pa.string()),
-                 "rows": pa.array(out_rows, pa.int64()),
-                 "tombstones": pa.array(out_tombs, pa.int64()),
-                 "bytes": pa.array(out_bytes, pa.int64())}
-            )
-
-        work = ray.data.from_arrow(work_tbl).repartition(min(len(targets), 32))
-        stats = work.map_batches(rewrite, batch_format="pyarrow").take_all()
-
-        # every live partition was rewritten: pending MOR deltas are
-        # folded into the clustered bases
+        # every live partition is rewritten: pending MOR deltas fold
+        # into the clustered bases
+        stats = _rewrite_effective(lake_dir, manifest, targets, partial(
+            _cluster_write, lake_dir, f"cluster-{manifest.version + 1}",
+            keys, method, row_group_rows,
+        ))
         new_manifest = manifest.successor({
             "op": "cluster",
             "sort_by": keys,
@@ -974,20 +867,14 @@ def _fsck_partition_task(
     vs the manifest stats, and every url's crc32 route vs the
     partition actually holding it. Only counters return to the driver
     — never rows (one task per partition at any lake size)."""
-    import pyarrow.compute as _pc
-
-    from ..stages.merge import DELETED_COL as _DEL
     from ..stages.merge import stable_hash_partition as _route
 
     path = os.path.join(lake_dir, rel)
     pf = pq.ParquetFile(path)
-    cols = ["url"] + ([_DEL] if _DEL in pf.schema_arrow.names else [])
+    cols = ["url"] + ([DELETED_COL] if DELETED_COL in pf.schema_arrow.names else [])
     t = pq.read_table(path, columns=cols)
     rows = t.num_rows
-    tombs = (
-        int(_pc.sum(_pc.fill_null(t.column(_DEL), False)).as_py() or 0)
-        if _DEL in t.column_names else 0
-    )
+    tombs = count_tombstones(t)
     routed = _route(
         t.column("url"), num_partitions,
         frozenset((int(r), int(m)) for r, m in splits_list),
@@ -1001,6 +888,14 @@ def _fsck_partition_task(
         "tombstones_expected": expect_tombstones,
         "misrouted": misrouted,
     }
+
+
+def _purged_hits(lake_dir: str, value_set: pa.Array, rel: str) -> int:
+    """Rows of one data file whose url is in ``value_set``."""
+    t = pq.read_table(os.path.join(lake_dir, rel), columns=["url"])
+    return int(
+        pc.sum(pc.is_in(t.column("url"), value_set=value_set)).as_py() or 0
+    )
 
 
 def fsck_lake(lake_dir: str, *, deep: bool = False) -> dict:
@@ -1285,21 +1180,10 @@ def fsck_lake(lake_dir: str, *, deep: bool = False) -> dict:
                 for rel in m.all_data_relpaths()
             })
 
-            @ray.remote(num_cpus=1)
-            def count_purged_hits(rel: str) -> tuple[str, int]:
-                import pyarrow.compute as _pc
-
-                t = pq.read_table(
-                    os.path.join(lake_dir, rel), columns=["url"]
-                )
-                hits = _pc.sum(_pc.is_in(
-                    t.column("url"), value_set=pa.array(purged, pa.string())
-                )).as_py() or 0
-                return rel, int(hits)
-
-            for rel, hits in ray.get(
-                [count_purged_hits.remote(r) for r in all_rels]
-            ):
+            for rel, hits in zip(all_rels, map_partitions(
+                partial(_purged_hits, lake_dir, pa.array(purged, pa.string())),
+                all_rels,
+            )):
                 if hits:
                     deep_errors.append(
                         f"{rel}: {hits} row(s) of PURGED url(s) survive"

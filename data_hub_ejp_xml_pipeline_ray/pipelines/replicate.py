@@ -32,23 +32,27 @@ from typing import Callable
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray.data
 
 from ..schemas import conform_table, merge_schemas
-from ..stages.merge import stable_hash_partition
+from ..stages.merge import stable_hash_partition, write_partition
 from ..state.checkpoint import (
     LakeManifest,
     commit_manifest,
     gc_unreferenced,
     list_versions,
     load_manifest,
-    partition_file_relpath,
     verify_lock,
     writer_lock,
 )
 
 PART_COL = "_part"
 REPLICA_STATE = "_replica.json"
+#: one row per replica partition an apply task rewrote
+_APPLY_STATS = pa.schema([
+    (name, pa.string() if name == "path" else pa.int64())
+    for name in ("part", "path", "rows", "bytes", "tombstones", "upserts",
+                 "removed")
+])
 
 
 def sync_replica(
@@ -197,25 +201,12 @@ def sync_replica(
         else:
             new = live
 
-        rel, nbytes = None, 0
-        if new.num_rows:
-            from ..state.iofs import write_table_atomic
-
-            rel = partition_file_relpath(part, token)
-            nbytes = write_table_atomic(
-                new.sort_by("url"), os.path.join(replica_dir, rel)
-            )
-        return pa.table({
-            "part": pa.array([part], pa.int64()),
-            "path": pa.array([rel], pa.string()),
-            "rows": pa.array([new.num_rows], pa.int64()),
-            "tombstones": pa.array([0], pa.int64()),
-            "bytes": pa.array([nbytes], pa.int64()),
-            "upserts": pa.array([live.num_rows], pa.int64()),
-            "removed": pa.array(
-                [group.num_rows - live.num_rows], pa.int64()
-            ),
-        })
+        row = write_partition(replica_dir, part, token, new.sort_by("url"))
+        return pa.Table.from_pylist([{
+            **row,
+            "upserts": live.num_rows,
+            "removed": group.num_rows - live.num_rows,
+        }], schema=_APPLY_STATS)
 
     stats = (
         feed.map_batches(route, batch_format="pyarrow", zero_copy_batch=True)

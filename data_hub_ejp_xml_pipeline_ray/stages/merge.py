@@ -33,6 +33,8 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
+from ray.exceptions import RaySystemError
 
 from ..schemas import conform_table
 from ..state.checkpoint import partition_delta_relpath, partition_file_relpath
@@ -492,13 +494,19 @@ def read_effective_partition(
         else physical_read_columns(list(schema.names), renames or [])
     )
 
+    from ..state.iofs import parquet_source
+
     pieces = []
     for rel in rels:
-        f = pq.ParquetFile(os.path.join(lake_dir, rel))
-        avail = (
-            None if read_names is None
-            else [c for c in read_names if c in set(f.schema_arrow.names)]
-        )
+        path = os.path.join(lake_dir, rel)
+        if read_names is None:
+            # whole-file read: an s3:// object in one GET
+            f = pq.ParquetFile(parquet_source(path))
+            avail = None
+        else:
+            # pruned read: pyarrow's ranged reads fetch only the columns
+            f = pq.ParquetFile(path)
+            avail = [c for c in read_names if c in set(f.schema_arrow.names)]
         piece = apply_renames(f.read(columns=avail), renames)
         pieces.append(conform_table(piece, schema))
     if not pieces:
@@ -507,6 +515,113 @@ def read_effective_partition(
     if len(pieces) > 1:
         merged = reduce_fn_for_kind(kind)(merged)
     return conform_table(merged, schema)
+
+
+def count_tombstones(table: pa.Table) -> int:
+    """Rows whose tombstone flag is set (a null flag counts as live)."""
+    import pyarrow.compute as pc
+
+    if DELETED_COL not in table.column_names:
+        return 0
+    return int(
+        pc.sum(pc.fill_null(table.column(DELETED_COL), False)).as_py() or 0
+    )
+
+
+def _partition_relpath(part: int, token: str, delta: bool) -> str:
+    return (partition_delta_relpath if delta else partition_file_relpath)(
+        part, token
+    )
+
+
+def write_partition(
+    lake_dir: str, part: int, token: str, table: pa.Table, *,
+    delta: bool = False, **write_kwargs,
+) -> dict:
+    """Publish one partition's next base file — or, with ``delta=True``,
+    one merge-on-read delta file — at its content-addressed path (a pure
+    function of partition and token, so a retried write lands on the
+    same file). Returns the ``{part, path, rows, bytes, tombstones}`` row
+    :meth:`..state.checkpoint.LakeManifest.fold_partition_stats`
+    records. An empty table writes nothing and reports ``path`` None,
+    which retires a base. ``write_kwargs`` go to ``pq.write_table``."""
+    from ..state.iofs import write_table_atomic
+
+    if table.num_rows == 0:
+        return {"part": part, "path": None, "rows": 0, "bytes": 0,
+                "tombstones": 0}
+    rel = _partition_relpath(part, token, delta)
+    nbytes = write_table_atomic(
+        table, os.path.join(lake_dir, rel), **write_kwargs
+    )
+    return {"part": part, "path": rel, "rows": table.num_rows,
+            "bytes": nbytes, "tombstones": count_tombstones(table)}
+
+
+def written_partition(
+    lake_dir: str, part: int, token: str, *, delta: bool = False,
+) -> dict | None:
+    """Resume of a :func:`write_partition` call: the stats row of the
+    file a previous attempt with the same token already published
+    (counted from the file, ``resumed`` set), or None when there is
+    none. Files are published whole, so an existing one is complete."""
+    from ..state.iofs import file_exists, file_size
+
+    rel = _partition_relpath(part, token, delta)
+    path = os.path.join(lake_dir, rel)
+    if not file_exists(path):
+        return None
+    f = pq.ParquetFile(path)
+    flag = [DELETED_COL] if DELETED_COL in f.schema_arrow.names else []
+    return {"part": part, "path": rel, "rows": f.metadata.num_rows,
+            "bytes": file_size(path),
+            "tombstones": count_tombstones(f.read(columns=flag)),
+            "resumed": True}
+
+
+#: Ray Data's own task options (``ray.data._internal.remote_fn``): a
+#: task lost with its worker or node is retried without limit, and
+#: placement is Ray's default locality-aware policy.
+TASK_OPTIONS = dict(
+    num_cpus=1,
+    max_retries=-1,
+    retry_exceptions=[RaySystemError],
+    scheduling_strategy="DEFAULT",
+)
+
+
+# 3 retries, not -1: a rewrite that always kills its worker (say, out of
+# memory on a large base plus MOR deltas) must fail the operation, not
+# hang.
+@ray.remote(**{**TASK_OPTIONS, "max_retries": 3})
+def partition_task(fn, items: list) -> list:
+    """One task's share of a partition rewrite: ``fn(item)`` per item.
+    Arrow's pools are pinned to the task's one CPU: the machine-wide
+    default makes concurrent rewrite tasks thrash each other."""
+    pa.set_cpu_count(1)
+    pa.set_io_thread_count(2)
+    return [fn(item) for item in items]
+
+
+def map_partitions(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` on plain Ray tasks, at most one
+    per CPU (a small partition's rewrite costs less than a task's
+    dispatch): the one path every partition rewrite — ingest merge,
+    fold, compaction, cluster, split, DML, branch merge, purge — runs
+    on. ``fn`` is shipped once; only results come back."""
+    if not items:
+        return []
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    size = -(-len(items) // cpus)
+    fn_ref = ray.put(fn)
+    return [
+        out
+        for chunk in ray.get([
+            partition_task.remote(fn_ref, items[i : i + size])
+            for i in range(0, len(items), size)
+        ])
+        for out in chunk
+    ]
 
 
 def _spill_manifest(part, rows, path, row_group) -> pa.Table:
@@ -720,34 +835,32 @@ class ExtractCombineSpill:
 
 
 class PartitionMerger:
-    """Reduce-side task for one lake partition: reads the partition's
-    spilled delta files + its committed base file, merges under LWW,
-    writes the next immutable partition file to a deterministic
-    content-addressed path. Returns one stats row (the partition's
-    lineage record) — data never flows back through the driver.
+    """Reduce-side work for one lake partition: reads the partition's
+    spilled delta row groups (plus, copy-on-write, its committed
+    effective state), merges under the lake kind's LWW and writes the
+    next immutable partition file to a deterministic content-addressed
+    path. Returns one stats row (the partition's lineage record) — data
+    never flows back through the driver.
     """
 
     def __init__(
         self,
         lake_dir: str,
         delta_map: dict[int, list[tuple[str, int]]],
-        base_partitions: dict[int, str],
         lake_schema: pa.Schema,
         token: str,
-        reduce_fn=None,
-        mode: str = "cow",
-        base_deltas: dict[int, list[str]] | None = None,
-        renames: list | None = None,
+        *,
+        kind: str,
+        mode: str,
+        prior_files: dict[int, list[str]],
+        renames: list,
     ):
-        #: LWW reduction: row-valued (default) or group-valued
-        #: (:func:`lww_winner_rows` for entity tables)
-        self._reduce_fn = reduce_fn or lww_reduce
+        self._kind = kind
         self._lake_dir = lake_dir
         #: part -> [(spill file, row group index)] — only row groups
         #: named here are read; stale files from crashed attempts are
         #: ignored entirely.
         self._delta_map = delta_map
-        self._base_partitions = base_partitions
         self._lake_schema = lake_schema  # already evolved (driver-side union)
         self._token = token
         #: "cow" rewrites the partition base per batch (read-optimized);
@@ -759,21 +872,23 @@ class PartitionMerger:
         if mode not in ("cow", "mor"):
             raise ValueError(f"unknown merge mode {mode!r}")
         self._mode = mode
+        #: committed files per partition (base plus pending MOR deltas,
+        #: ``LakeManifest.part_files``). A CoW merge folds them all into
+        #: the new base (mode mixing is safe: CoW ingest doubles as
+        #: compaction for the partitions it touches); a MOR merge never
+        #: reads them.
+        self._prior_files = prior_files
         #: manifest rename log (metadata-only DDL): base files written
         #: before a rename — and wire batches from a producer still
         #: emitting the old name — map onto the live column here.
-        self._renames = renames or []
-        #: committed MOR delta files per partition (manifest
-        #: ``delta_files``). A CoW merge over a partition with pending
-        #: deltas folds them into the new base (mode mixing is safe:
-        #: CoW ingest doubles as compaction for the partitions it
-        #: touches); a MOR merge leaves them in place.
-        self._base_deltas = base_deltas or {}
+        self._renames = renames
 
     def _gather_delta(self, part: int) -> pa.Table:
         """Concat + normalize this batch's spill row groups for one
         partition: tombstone flag materialized, conformed to the
-        (already evolved) lake schema."""
+        (already evolved) lake schema, which drops wire-only leftovers,
+        null-fills columns this delta's schema version didn't carry and
+        applies widens."""
         import pyarrow.compute as pc
 
         deltas = [
@@ -793,131 +908,39 @@ class PartitionMerger:
             apply_renames(delta, self._renames), self._lake_schema
         )
 
-    def merge_one_mor(self, part: int) -> dict:
-        """Merge-on-read reduce for one partition: reduce THIS batch's
-        spill row groups (cross-block LWW within the micro-batch) and
-        write them as one immutable delta file — the committed base is
-        never read or rewritten. Readers (``read_lake`` /
-        ``lookup_urls`` / ``lake_snapshot``) apply LWW over
-        base+deltas; ``compact_deltas`` folds them back into the base
-        off the ingest path."""
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
-        from ..state.iofs import file_exists, file_size, write_table_atomic
-
-        rel = partition_delta_relpath(part, self._token)
-        out_path = os.path.join(self._lake_dir, rel)
-        if file_exists(out_path):
-            # partition-level resume, same contract as the CoW branch
-            meta = pq.ParquetFile(out_path)
-            return {
-                "part": part, "path": rel,
-                "rows": meta.metadata.num_rows,
-                "bytes": file_size(out_path),
-                "events_applied": 0,
-                "tombstones": 0,
-                "resumed": True,
-            }
-        delta = self._gather_delta(part)
-        events_applied = delta.num_rows
-        delta = self._reduce_fn(delta)
-        delta = conform_table(delta, self._lake_schema)
-        tombstones = int(
-            pa.compute.sum(delta.column(DELETED_COL)).as_py() or 0
-        ) if DELETED_COL in delta.column_names else 0
-        nbytes = write_table_atomic(delta, out_path)
-        return {
-            "part": part, "path": rel, "rows": delta.num_rows,
-            "bytes": nbytes,
-            "events_applied": events_applied, "tombstones": tombstones,
-        }
-
     def merge_one(self, part: int) -> dict:
-        if self._mode == "mor":
-            return self.merge_one_mor(part)
-        import pyarrow.compute as pc
+        """Merge one partition. Copy-on-write: LWW over the partition's
+        effective state plus this batch's rows, written as the new base
+        (an empty result retires the partition). Merge-on-read: LWW over
+        this batch's rows alone (cross-block, within the micro-batch),
+        written as one more delta file; the base is never read. Readers
+        (``read_lake`` / ``lookup_urls`` / ``lake_snapshot``) apply LWW
+        over base+deltas; ``compact_deltas`` folds them back off the
+        ingest path.
 
-        # Same arrow-threadpool pinning as the map side: this runs as a
-        # 1-CPU Ray task, and arrow's default machine-wide pool makes
-        # concurrent merge tasks thrash each other.
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
-
-        # Partition-level resume: the output path is a pure function of
-        # (token, part) and files are written tmp+rename, so an existing
-        # file IS this merge's complete result from a previous attempt
-        # of the same micro-batch — skip the rework (per-partition
-        # checkpoint granularity on batch retry).
-        from ..state.iofs import (
-            file_exists, file_size, parquet_source, write_table_atomic,
-        )
-
-        rel = partition_file_relpath(part, self._token)
-        out_path = os.path.join(self._lake_dir, rel)
-        if file_exists(out_path):
-            meta = pq.ParquetFile(out_path)
-            done = meta.read(columns=[DELETED_COL]) if DELETED_COL in [
-                f.name for f in meta.schema_arrow
-            ] else None
-            tomb = (
-                int(pa.compute.sum(done.column(DELETED_COL)).as_py() or 0)
-                if done is not None
-                else 0
-            )
-            return {
-                "part": part, "path": rel,
-                "rows": meta.metadata.num_rows,
-                "bytes": file_size(out_path),
-                "events_applied": 0,  # replay: no new events counted
-                "tombstones": tomb,
-                "resumed": True,
-            }
-        # Gather + normalize the batch's spill row groups (tombstone
-        # flag materialized; conformed to the already-evolved lake
-        # schema, which drops wire-only leftovers, null-fills columns
-        # this delta's schema version didn't carry, applies widens).
+        Partition-level resume: the output path is a pure function of
+        (token, part) and files are published whole, so an existing file
+        IS this merge's result from a previous attempt of the same
+        micro-batch; its stats are read back instead of redoing it."""
+        mor = self._mode == "mor"
+        done = written_partition(self._lake_dir, part, self._token, delta=mor)
+        if done is not None:
+            return {**done, "events_applied": 0}  # replay: no new events
         delta = self._gather_delta(part)
         events_applied = delta.num_rows
-
-        from ..schemas import apply_renames
-
-        base_rel = self._base_partitions.get(part)
-        pieces = []
-        if base_rel is not None:
-            base = pq.read_table(
-                parquet_source(os.path.join(self._lake_dir, base_rel))
+        if not mor:
+            prior = read_effective_partition(
+                self._lake_dir, part, self._prior_files[part],
+                self._lake_schema, kind=self._kind, renames=self._renames,
             )
-            pieces.append(
-                conform_table(apply_renames(base, self._renames),
-                              self._lake_schema)
-            )
-        for rel in self._base_deltas.get(part, ()):
-            # pending MOR deltas fold into this rewrite (auto-compact)
-            t = pq.read_table(parquet_source(os.path.join(self._lake_dir, rel)))
-            pieces.append(
-                conform_table(apply_renames(t, self._renames),
-                              self._lake_schema)
-            )
-        pieces.append(delta)
-        merged = pa.concat_tables(pieces) if len(pieces) > 1 else delta
-
-        merged = self._reduce_fn(merged)
-        merged = conform_table(merged, self._lake_schema)
-
-        tombstones = int(
-            pa.compute.sum(merged.column(DELETED_COL)).as_py() or 0
-        ) if DELETED_COL in merged.column_names else 0
-        if merged.num_rows == 0:
-            # Every row deleted: partition disappears from the manifest.
-            return {
-                "part": part, "path": None, "rows": 0, "bytes": 0,
-                "events_applied": events_applied, "tombstones": 0,
-            }
-        rel = partition_file_relpath(part, self._token)
-        out_path = os.path.join(self._lake_dir, rel)
-        nbytes = write_table_atomic(merged, out_path)
+            if prior.num_rows:
+                delta = pa.concat_tables([prior, delta])
+        merged = conform_table(
+            reduce_fn_for_kind(self._kind)(delta), self._lake_schema
+        )
         return {
-            "part": part, "path": rel, "rows": merged.num_rows,
-            "bytes": nbytes,
-            "events_applied": events_applied, "tombstones": tombstones,
+            **write_partition(
+                self._lake_dir, part, self._token, merged, delta=mor
+            ),
+            "events_applied": events_applied,
         }

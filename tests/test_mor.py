@@ -244,7 +244,9 @@ def test_mor_lookup_urls(small_wal):
 def test_mor_crash_resume_converges(small_wal, monkeypatch):
     """Kill between delta staging and manifest commit: the rerun reuses
     the already-written delta files (content-addressed paths) and
-    converges — same contract as the CoW crash test."""
+    converges — same contract as the CoW crash test. The resumed
+    commit's per-partition stats (delta tombstones included, which
+    maintenance plans from) equal those of an uncrashed ingest."""
     import data_hub_ejp_xml_pipeline_ray.pipelines.cdc as cdc_mod
 
     cfg = _cfg(small_wal, merge_mode="mor", max_segments_per_batch=4)
@@ -263,6 +265,14 @@ def test_mor_crash_resume_converges(small_wal, monkeypatch):
     monkeypatch.setattr(cdc_mod, "commit_manifest", real_commit)
     run_ingest(cfg)  # resume
     assert _snapshot_dict(cfg.lake_dir) == _expected_lake(cfg.wal_dir)
+    resumed = load_manifest(cfg.lake_dir)
+    assert resumed.lineage[-1]["partitions_resumed"] > 0
+    clean = _cfg(small_wal, lake_dir=os.path.join(small_wal, "clean"),
+                 merge_mode="mor", max_segments_per_batch=4)
+    run_ingest(clean)
+    meta = load_manifest(clean.lake_dir).partition_meta
+    assert sum(m.get("delta_tombstones", 0) for m in meta.values()) > 0
+    assert resumed.partition_meta == meta
 
 
 def test_mor_change_feed(small_wal, ray_session):

@@ -1,6 +1,7 @@
 """Phase-1 task plan: one task per segment, row slices only while a
 batch has fewer segments than CPUs. How a batch is cut into tasks must
-not be observable in the lake, in ``_errors`` or in provenance."""
+not be observable in the lake, in ``_errors`` or in provenance. Ingest
+and every partition rewrite run on plain tasks, never a Dataset."""
 import os
 
 import pytest
@@ -24,9 +25,12 @@ def _segs(n):
 
 def test_task_retries():
     # a phase-1 task lost with its worker retries without limit, as Ray
-    # Data's did; a merge retries 3 times, then fails the commit
+    # Data's did; a partition rewrite (the ingest merge among them)
+    # retries 3 times, then fails the operation
+    from data_hub_ejp_xml_pipeline_ray.stages import merge
+
     assert cdc._spill_segment._default_options["max_retries"] == -1
-    assert cdc._merge_partitions._default_options["max_retries"] == 3
+    assert merge.partition_task._default_options["max_retries"] == 3
 
 
 def test_plan_shapes():
@@ -143,3 +147,49 @@ def test_ingest_builds_no_dataset(wal, tmp_path, monkeypatch):
     r = run_ingest(CdcConfig(wal_dir=wal, lake_dir=str(tmp_path / "lake"),
                              num_partitions=8))
     assert r.commits == 1 and r.events_applied == 900
+
+
+def test_partition_rewrites_build_no_dataset(wal, tmp_path, monkeypatch):
+    """Every operation that rewrites lake partitions runs on the shared
+    plain partition tasks: fold, compaction, cluster, split, DML and a
+    three-way branch merge start no Ray Data execution."""
+    import ray.data
+
+    from data_hub_ejp_xml_pipeline_ray.pipelines.branching import (
+        create_branch, merge_branch,
+    )
+    from data_hub_ejp_xml_pipeline_ray.pipelines.dml import (
+        delete_where, update_where,
+    )
+    from data_hub_ejp_xml_pipeline_ray.pipelines.maintenance import (
+        cluster_lake, compact_deltas, compact_lake, split_partition,
+    )
+    from data_hub_ejp_xml_pipeline_ray.state.checkpoint import branch_dir
+
+    def no_dataset(*a, **k):
+        raise AssertionError("a partition rewrite built a ray.data Dataset")
+
+    for name in ("read_parquet", "from_items", "from_arrow"):
+        monkeypatch.setattr(ray.data, name, no_dataset)
+    lake = str(tmp_path / "lake")
+
+    def ingest(lake_dir, include, mode="cow"):
+        return run_ingest(CdcConfig(
+            wal_dir=wal, lake_dir=lake_dir, num_partitions=4,
+            include_pattern=include, merge_mode=mode,
+            max_segments_per_batch=1,
+        ))
+
+    ingest(lake, "segment-0000[0-1]*")
+    ingest(lake, "segment-0000[0-3]*", "mor")
+    assert compact_deltas(lake)["partitions_rewritten"] > 0
+    assert update_where(lake, [["lang", "==", "en"]],
+                        {"content_type": "text/x"})["committed"]
+    assert delete_where(lake, [["lang", "==", "de"]])["committed"]
+    assert split_partition(lake, 0)["children"]
+    assert cluster_lake(lake)["partitions_rewritten"] > 0
+    assert compact_lake(lake)["partitions_rewritten"] > 0
+    create_branch(lake, "b")
+    ingest(branch_dir(lake, "b"), None)
+    ingest(lake, "segment-0000[0-4]*", "mor")
+    assert merge_branch(lake, "b")["merged_partitions"] > 0
