@@ -317,7 +317,7 @@ def _merge_partition(
     effective states, written as main's new base file."""
     sides = [
         read_effective_partition(
-            d, part, files[part], schema, kind=kind, renames=renames,
+            d, files[part], schema, kind=kind, renames=renames,
         )
         for d, files in ((lake_dir, main_files), (bdir, branch_files))
     ]

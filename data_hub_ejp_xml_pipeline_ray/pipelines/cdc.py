@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import pyarrow as pa
@@ -48,6 +49,9 @@ from ..stages.merge import (
     ExtractCombineSpill,
     PartitionMerger,
     map_partitions,
+    partition_refs,
+    read_effective_partition,
+    visible_rows,
 )
 from ..state.checkpoint import (
     ConcurrentWriterError,
@@ -581,69 +585,68 @@ def run_nested_ingest(cfg: CdcConfig, *, struct_version: int = 1) -> IngestRepor
     )
 
 
-def _read_lake_mor(
-    lake_dir: str, manifest, *,
-    columns: list[str] | None = None,
-    filter: "pc.Expression | None" = None,
-    parts: list[int] | None = None,
+#: A Dataset-returning read whose planned partitions record more than
+#: this share of the object store (the manifest's ``bytes`` +
+#: ``delta_bytes``: compressed parquet, which decodes to several times
+#: its size) streams through Ray Data, whose executor bounds what is in
+#: flight. A smaller read runs on plain partition tasks and hands back
+#: their blocks: a Dataset launch costs more than a small read's work.
+READ_STORE_SHARE = 1 / 16
+
+
+def _planned_bytes(manifest, parts) -> int:
+    return sum(
+        meta.get("bytes", 0) + meta.get("delta_bytes", 0)
+        for meta in (manifest.partition_meta.get(p, {}) for p in parts)
+    )
+
+
+def _each_item(fn, batch: pa.Table):
+    for item in batch.to_pylist():
+        yield fn(item)
+
+
+def _blocks_dataset(
+    fn, items: list[dict], nbytes: int, schema: pa.Schema,
+    extra: pa.Table | None = None,
 ) -> ray.data.Dataset:
-    """Merge-on-read scan: one task per partition reads its base file
-    plus pending delta files, applies the kind-appropriate LWW
-    reduction, filters tombstones, and emits the observable rows.
-    Parquet reads stay column-pruned (plus the LWW key columns, which
-    a correct merge always needs); a payload ``filter`` is applied
-    AFTER the reduction — pushing it below LWW could drop the winning
-    version of a url and resurrect an older row. ``parts`` (from the
-    zone-map / hash-routing scan planner) restricts the scan to the
-    listed partitions — each is still read WHOLE (base + every delta),
-    the only sound pruning granularity under LWW."""
-    import json as _json
+    """The Dataset every lake read returns: ``fn(item)`` is one Arrow
+    block typed ``schema`` per plan item, ``extra`` one more block.
+    Under the :data:`READ_STORE_SHARE` budget the items run on
+    :func:`..stages.merge.partition_refs` and their blocks come back
+    through ``from_arrow_refs``; above it they stream through one
+    ``from_items(...).map_batches``, one block per item."""
+    if not items:
+        return ray.data.from_arrow(
+            extra if extra is not None else schema.empty_table()
+        )
+    store = ray.cluster_resources().get("object_store_memory", 0)
+    if nbytes > store * READ_STORE_SHARE:
+        ds = ray.data.from_items(
+            items, override_num_blocks=len(items)
+        ).map_batches(
+            partial(_each_item, fn), batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+        return ds if extra is None else ds.union(ray.data.from_arrow(extra))
+    refs = partition_refs(fn, items)
+    if extra is not None:
+        refs.append(ray.put(extra))
+    return ray.data.from_arrow_refs(refs)
 
-    from ..stages.merge import read_effective_partition
 
-    schema = manifest.schema
-    kind = manifest.kind
-    renames = [list(x) for x in manifest.renames]
-    out_names = [
-        f.name for f in schema
-        if f.name != DELETED_COL and (columns is None or f.name in set(columns))
-    ]
-    parts = manifest.all_parts() if parts is None else sorted(parts)
-    if not parts:
-        target = pa.schema([schema.field(n) for n in out_names])
-        return ray.data.from_arrow(target.empty_table())
-    work = pa.table({
-        "part": pa.array(parts, pa.int64()),
-        "rels": pa.array(
-            [_json.dumps(manifest.part_files(p)) for p in parts], pa.string()
-        ),
-    })
+def _read_visible(read, names: list[str], item: dict) -> pa.Table:
+    """One plan item's observable rows: ``read`` (a bound
+    :func:`..stages.merge.read_effective_partition`) over the
+    partition's files, tombstones dropped, ``names`` kept."""
+    return visible_rows(read(item["rels"])).select(names)
 
-    def scan(batch: pa.Table):
-        import pyarrow.compute as pc
 
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
-        for part, rels_json in zip(
-            batch.column("part").to_pylist(), batch.column("rels").to_pylist()
-        ):
-            t = read_effective_partition(
-                lake_dir, int(part), _json.loads(rels_json), schema,
-                kind=kind, columns=columns, renames=renames,
-            )
-            if DELETED_COL in t.column_names:
-                mask = pc.fill_null(pc.invert(t.column(DELETED_COL)), True)
-                t = t.filter(mask)
-            if filter is not None:
-                t = t.filter(filter)
-            yield t.select(out_names)
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    blocks = min(len(parts), max(cpus * 2, 16))
-    return (
-        ray.data.from_arrow(work)
-        .repartition(blocks)
-        .map_batches(scan, batch_format="pyarrow", zero_copy_batch=True)
+def _partition_reader(lake_dir: str, manifest, **kw):
+    return partial(
+        read_effective_partition, lake_dir, schema=manifest.schema,
+        kind=manifest.kind, renames=[list(x) for x in manifest.renames],
+        **kw,
     )
 
 
@@ -654,15 +657,21 @@ def read_lake(
     constraints: list | None = None,
 ) -> ray.data.Dataset:
     """Read the committed lake as a Dataset under the unified schema
-    (old partitions null-filled / widened on the fly). ``version`` time-
-    travels to a retained snapshot (see ``CdcConfig.retain_versions``).
-    ``columns`` prunes at the parquet read — only those columns leave
-    storage (at 100 TB the difference between a projection scan and a
-    full-lake read); ``filter`` is a ``pyarrow.compute`` expression
-    pushed into the scan (row-group statistics prune before bytes
-    move). Tombstone filtering still happens regardless — and because
-    tombstones carry NULL payload, a payload predicate never
-    resurrects them.
+    (old partitions null-filled / widened on the fly, files written
+    before an ``alter_lake`` rename read through the rename log).
+    ``version`` time-travels to a retained snapshot (see
+    ``CdcConfig.retain_versions``). ``columns`` prunes at the parquet
+    read — only those columns (plus the LWW key) leave storage.
+    ``filter`` is a ``pyarrow.compute`` expression: a partition of one
+    file takes it into its parquet read (row-group statistics prune
+    before bytes move); one with pending MOR deltas applies it after
+    the LWW reduction, the only sound place. Tombstones are always
+    dropped — and because they carry NULL payload, a payload predicate
+    never resurrects them.
+
+    Each partition is one item of the plan, read whole (base + every
+    delta) by :func:`..stages.merge.read_effective_partition`; see
+    :func:`_blocks_dataset` for where the items run.
 
     ``constraints`` — ``[col, op[, value]]`` triples (the CLI
     ``--constraint`` grammar, ANDed) — additionally drive the SCAN
@@ -673,90 +682,39 @@ def read_lake(
     re-applied as a compiled expression on the scan output, so pruning
     is never load-bearing for correctness; see :func:`scan_plan` for
     the observable plan."""
-    from ..schemas import conform_table
-
     manifest = load_manifest(lake_dir, version=version)
-    kept_parts: list[int] | None = None
+    if manifest is None or manifest.schema is None:
+        raise FileNotFoundError(f"no committed lake at {lake_dir}")
+    parts = manifest.all_parts()
     read_cols = columns
     if constraints:
         from ..state.bloomindex import load_bloom_index
         from ..state.zones import constraints_to_expression, plan_parts
 
-        if manifest is not None:
-            kept_parts, _ = plan_parts(
-                manifest, constraints, load_bloom_index(lake_dir)
-            )
-        cexpr = constraints_to_expression(
-            constraints, manifest.schema if manifest is not None else None
-        )
+        kept, _ = plan_parts(manifest, constraints, load_bloom_index(lake_dir))
+        parts = [p for p in parts if p in set(kept)]
+        cexpr = constraints_to_expression(constraints, manifest.schema)
         if cexpr is not None:
             filter = cexpr if filter is None else (filter & cexpr)
         if columns is not None:
             extra = sorted({c[0] for c in constraints} - set(columns))
-            if extra:  # keep read_cols IS columns when nothing to add:
-                read_cols = columns + extra  # no select_columns tail
-
-    if manifest is not None and (manifest.delta_files or manifest.renames):
-        # per-partition effective-state scan: required for MOR deltas,
-        # and used for a lake with a RENAME LOG too — files written
-        # before the rename serve their data through
-        # read_effective_partition's alias-aware read (Ray's parquet
-        # datasource narrows an explicit schema to the columns files
-        # actually contain, so the alias null-fill trick cannot ride
-        # the native read path). Still one column-pruned task per
-        # partition — the same shape the 100-TB MOR scan uses.
-        ds = _read_lake_mor(
-            lake_dir, manifest, columns=read_cols, filter=filter,
-            parts=kept_parts,
-        )
-        if read_cols is not columns and columns is not None:
-            ds = ds.select_columns(columns)
-        return ds
-    target = manifest.schema if manifest else None
-    if read_cols is not None and target is not None:
-        need = set(read_cols) | {DELETED_COL}
-        target = pa.schema([f for f in target if f.name in need])
-    if manifest is None or not manifest.partitions or kept_parts == []:
-        if target is None:
-            raise FileNotFoundError(f"no committed lake at {lake_dir}")
-        out = ray.data.from_arrow(
-            pa.schema(
-                [f for f in target if f.name != DELETED_COL]
-            ).empty_table()
-        )
-        return out.select_columns(columns) if columns is not None else out
-    paths = [
-        os.path.join(lake_dir, rel)
-        for part, rel in sorted(manifest.partitions.items())
-        if kept_parts is None or part in set(kept_parts)
+            if extra:
+                read_cols = columns + extra
+    schema = manifest.schema
+    names = [
+        f.name for f in schema
+        if f.name != DELETED_COL and (read_cols is None or f.name in read_cols)
     ]
-
-    def conform(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        batch = conform_table(batch, target)
-        if DELETED_COL in batch.column_names:
-            mask = pc.fill_null(pc.invert(batch.column(DELETED_COL)), True)
-            batch = batch.filter(mask).drop_columns([DELETED_COL])
-        return batch
-
-    read_kwargs: dict = {}
-    if read_cols is not None:
-        # explicit schema: partitions predating an evolution-added
-        # column null-fill it in the scanner instead of erroring.
-        # (A lake with a RENAME log never reaches this path — it
-        # scans per-partition above, where historical aliases are
-        # read and coalesced.)
-        read_kwargs = dict(columns=target.names, schema=target)
-    if filter is not None:
-        read_kwargs["filter"] = filter
-
-    out = ray.data.read_parquet(paths, **read_kwargs).map_batches(
-        conform, batch_format="pyarrow", zero_copy_batch=True
+    if read_cols is not columns:
+        names = list(columns)  # the constraint columns were read only
+    read = _partition_reader(lake_dir, manifest, columns=read_cols,
+                             filter=filter)
+    return _blocks_dataset(
+        partial(_read_visible, read, names),
+        [{"rels": manifest.part_files(p)} for p in parts],
+        _planned_bytes(manifest, parts),
+        pa.schema([schema.field(n) for n in names]),
     )
-    if read_cols is not columns and columns is not None:
-        out = out.select_columns(columns)
-    return out
 
 
 def scan_plan(
@@ -782,21 +740,25 @@ def scan_plan(
 CHANGE_OP_COL = "change_op"
 
 
-def _feed_pair_groups(
-    lake_dir: str, m_to, m_from,
-) -> list[dict]:
+def _feed_pair_groups(m_to, m_from) -> list[dict]:
     """Ancestor-granularity pairing for a version diff: splits are
     append-only, so each v_to partition resolves to exactly one v_from
-    ancestor; one group per ancestor (its file + every descendant
-    file), plus groups for v_to partitions with no ancestor file and
-    v_from files with zero descendants."""
+    ancestor; one group per ancestor (its files + every descendant's
+    files), plus groups for v_to partitions with no ancestor file and
+    v_from files with zero descendants. A group whose old and new file
+    lists are equal holds the same rows on both sides and is left out,
+    so a feed costs O(changed partitions). Each group is
+    ``{"old": relpaths, "new": relpaths, "bytes": n}``, ``bytes`` the
+    manifests' record of both sides' files."""
     from ..state.checkpoint import resolve_partition
+
+    def nbytes(m, part) -> int:
+        return _planned_bytes(m, [part])
 
     from_splits = m_from.split_set() if m_from is not None else frozenset()
     num_p = m_to.num_partitions
     groups: dict = {}
     for part in m_to.all_parts():
-        rels = m_to.part_files(part)
         old_part = (
             resolve_partition(part, num_p, from_splits) if m_from is not None
             else None
@@ -804,46 +766,48 @@ def _feed_pair_groups(
         old_rels = m_from.part_files(old_part) if old_part is not None else []
         key = old_part if old_rels else ("new", part)
         g = groups.setdefault(key, {
-            "old_paths": [os.path.join(lake_dir, r) for r in old_rels],
-            # a side with pending MOR delta files holds >1 row per url;
-            # the diff must LWW-reduce it to the effective state first
-            "old_reduce": len(old_rels) > 1,
-            "new_paths": [],
-            "new_reduce": False,
+            "old": old_rels, "new": [],
+            "bytes": nbytes(m_from, old_part) if old_rels else 0,
         })
-        g["new_paths"].extend(os.path.join(lake_dir, r) for r in rels)
-        g["new_reduce"] = g["new_reduce"] or len(rels) > 1
+        g["new"].extend(m_to.part_files(part))
+        g["bytes"] += nbytes(m_to, part)
     if m_from is not None:
         for old_part in m_from.all_parts():
             # old partition with zero descendant files: all rows gone
             old_rels = m_from.part_files(old_part)
             if old_part not in groups and old_rels:
-                groups[old_part] = {
-                    "old_paths": [os.path.join(lake_dir, r) for r in old_rels],
-                    "old_reduce": len(old_rels) > 1,
-                    "new_paths": [], "new_reduce": False,
-                }
-    return list(groups.values())
+                groups[old_part] = {"old": old_rels, "new": [],
+                                    "bytes": nbytes(m_from, old_part)}
+    return [g for g in groups.values() if sorted(g["old"]) != sorted(g["new"])]
 
 
-def _purge_delete_rows(
-    urls: list[str], schema: pa.Schema, out_schema: pa.Schema,
-) -> pa.Table:
+def _feed_schema(schema: pa.Schema, columns: list[str] | None) -> pa.Schema:
+    """A change feed's block schema: ``url``, ``change_op``, then the
+    lake's (``columns``-pruned) payload; ``warc_ts``/``seq`` always."""
+    keep = None if columns is None else {"warc_ts", "seq"} | set(columns)
+    return pa.schema(
+        [pa.field("url", pa.string()), pa.field(CHANGE_OP_COL, pa.string())]
+        + [f for f in schema if f.name not in ("url", DELETED_COL)
+           and (keep is None or f.name in keep)]
+    )
+
+
+def _purge_delete_rows(urls: list[str], out_schema: pa.Schema) -> pa.Table:
     """Synthetic NULL-identity delete rows for PURGED urls: the history
     rewrite (``maintenance.purge_urls``) scrubbed the key from BOTH
     snapshots' files, so the diff kernel cannot see it — but a consumer
     that replicated the row before the purge must still retire it. Same
     honest-NULL shape as the compacted-away-tombstone delete."""
+    return _null_deletes(pa.array(urls, pa.string()), out_schema)
+
+
+def _null_deletes(urls: pa.Array, out_schema: pa.Schema) -> pa.Table:
     n = len(urls)
-    cols = [
-        pa.array(urls, pa.string()),
-        pa.array(["delete"] * n, pa.string()),
-    ]
-    cols += [
-        pa.nulls(n, f.type) for f in schema
-        if f.name not in ("url", DELETED_COL)
-    ]
-    return pa.Table.from_arrays(cols, schema=out_schema)
+    return pa.Table.from_arrays(
+        [urls, pa.array(["delete"] * n, pa.string())]
+        + [pa.nulls(n, f.type) for f in list(out_schema)[2:]],
+        schema=out_schema,
+    )
 
 
 def _newly_purged(
@@ -911,18 +875,18 @@ def changes_between(
     NO shuffle: versions share the crc32(url) routing and splits are
     append-only, so every v_to partition resolves to exactly one
     v_from ancestor (``resolve_partition`` under the OLD split map).
-    One Ray task per ancestor group diffs the old file against the
+    One plan item per ancestor group diffs the old files against the
     union of its descendant files — which also catches descendants
     with no v_to file (all rows gone) and old partitions with no
-    descendants at all. ``v_from=0`` diffs against the empty lake
+    descendants at all; a group whose files did not change is not
+    read. The items run as :func:`_blocks_dataset` says, each block
+    typed, purged urls one more block. ``v_from=0`` diffs against the empty lake
     (everything live is an insert).
 
     ``columns`` prunes the PAYLOAD columns the feed carries (and
     reads from storage — a consumer aggregating one metric column
     doesn't pay to move the text payload); the change identity
     (``url``, ``warc_ts``, ``seq``) is always present."""
-    from ..schemas import conform_table
-
     m_to = load_manifest(lake_dir, version=v_to)
     if m_to is None:
         raise FileNotFoundError(f"no committed lake at {lake_dir}")
@@ -962,159 +926,96 @@ def changes_between(
             f"v{m_to.version} (a restore crossed an alter); "
             "this version pair cannot be diffed"
         )
-    schema = m_to.schema
-    feed_renames = [list(x) for x in m_to.renames]
-    if columns is not None:
-        need = {"url", "warc_ts", "seq", DELETED_COL} | set(columns)
-        schema = pa.schema([f for f in schema if f.name in need])
-    out_fields = [pa.field("url", pa.string()), pa.field(CHANGE_OP_COL, pa.string())]
-    out_fields += [f for f in schema if f.name not in ("url", DELETED_COL)]
-    out_schema = pa.schema(out_fields)
-
-    newly_purged = _newly_purged(
+    out_schema = _feed_schema(m_to.schema, columns)
+    purged = _newly_purged(
         lake_dir, 0 if m_from is None else m_from.version, m_to.version,
         preimages=preimages,
     )
-    purge_tbl = (
-        _purge_delete_rows(newly_purged, schema, out_schema)
-        if newly_purged else None
+    groups = _feed_pair_groups(m_to, m_from)
+    return _blocks_dataset(
+        partial(_diff_rows, _partition_reader(lake_dir, m_to, columns=columns),
+                out_schema, preimages),
+        groups, sum(g["bytes"] for g in groups), out_schema,
+        extra=_purge_delete_rows(purged, out_schema) if purged else None,
     )
-    descs = _feed_pair_groups(lake_dir, m_to, m_from)
-    if not descs:
-        return ray.data.from_arrow(
-            purge_tbl if purge_tbl is not None else out_schema.empty_table()
-        )
 
-    def diff(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pq
 
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
+def _diff_rows(read, out_schema: pa.Schema, preimages: bool, item: dict):
+    """One ancestor group's changes for :func:`changes_between`: the
+    effective state of its old files against that of its new files,
+    both LWW-reduced with tombstones kept by ``read`` (urls are
+    disjoint across descendant partitions, so one reduction over a
+    side's files is exact)."""
+    import numpy as np
+    import pyarrow.compute as pc
 
-        def read_file(p: str) -> pa.Table:
-            # pruned column read (only the feed's columns leave disk);
-            # evolution-added columns a file predates are null-filled
-            # by conform_table afterwards, and files written before a
-            # column rename serve it via m_to's rename log (a superset
-            # of every older manifest's — guarded above)
-            from ..schemas import apply_renames, physical_read_columns
+    old, new = read(item["old"]), read(item["new"])
+    payload = out_schema.names[2:]
+    outs = []
 
-            f = pq.ParquetFile(p)
-            want = physical_read_columns(list(schema.names), feed_renames)
-            avail = [c for c in want if c in set(f.schema_arrow.names)]
-            return conform_table(
-                apply_renames(f.read(columns=avail), feed_renames), schema
+    def emit(src: pa.Table, ops) -> None:
+        if isinstance(ops, str):
+            ops = pa.array([ops] * src.num_rows, pa.string())
+        outs.append(pa.Table.from_arrays(
+            [src.column("url"), ops] + [src.column(n) for n in payload],
+            schema=out_schema,
+        ))
+
+    idx = pc.index_in(new.column("url"), value_set=old.column("url"))
+    present = pc.is_valid(idx).to_numpy(zero_copy_only=False)
+    safe = np.where(present, idx.to_numpy(zero_copy_only=False), 0).astype(
+        np.int64
+    )
+    old_del = pc.fill_null(old.column(DELETED_COL), False).to_numpy(
+        zero_copy_only=False
+    ) if old.num_rows else np.zeros(0, bool)
+    old_live = present & (
+        ~old_del[safe] if old.num_rows else np.zeros(len(new), bool)
+    )
+    new_live = ~pc.fill_null(new.column(DELETED_COL), False).to_numpy(
+        zero_copy_only=False
+    )
+    if old.num_rows:
+        same = present
+        for key in ("warc_ts", "seq"):
+            same = same & (
+                old.column(key).take(pa.array(safe)).to_numpy(
+                    zero_copy_only=False
+                ) == new.column(key).to_numpy(zero_copy_only=False)
             )
+    else:
+        same = np.zeros(len(new), bool)
+    ins = new_live & ~old_live
+    upd = new_live & old_live & ~same
+    dele = ~new_live & old_live
 
-        from ..stages.merge import lww_reduce
-
-        outs = []
-        for d in batch.to_pylist():
-            news = [read_file(p) for p in d["new_paths"]]
-            new = pa.concat_tables(news) if news else schema.empty_table()
-            if d["new_reduce"]:
-                # MOR deltas pending on the new side: collapse to the
-                # effective one-row-per-url state (urls are disjoint
-                # across descendant partitions, so one global LWW over
-                # the concatenation is exact)
-                new = lww_reduce(new)
-            olds = [read_file(p) for p in d["old_paths"]]
-            old = pa.concat_tables(olds) if olds else schema.empty_table()
-            if d["old_reduce"]:
-                old = lww_reduce(old)
-            idx = pc.index_in(new.column("url"), value_set=old.column("url"))
-            present = pc.is_valid(idx).to_numpy(zero_copy_only=False)
-            idx_np = idx.to_numpy(zero_copy_only=False)
-            safe = np.where(present, idx_np, 0).astype(np.int64)
-            old_del = pc.fill_null(old.column(DELETED_COL), False).to_numpy(
-                zero_copy_only=False
-            ) if old.num_rows else np.zeros(0, bool)
-            old_live = present & (
-                ~old_del[safe] if old.num_rows else np.zeros(len(new), bool)
-            )
-            new_live = ~pc.fill_null(new.column(DELETED_COL), False).to_numpy(
-                zero_copy_only=False
-            )
-            if old.num_rows:
-                same = present & (
-                    old.column("warc_ts").take(pa.array(safe)).to_numpy(
-                        zero_copy_only=False
-                    ) == new.column("warc_ts").to_numpy(zero_copy_only=False)
-                ) & (
-                    old.column("seq").take(pa.array(safe)).to_numpy(
-                        zero_copy_only=False
-                    ) == new.column("seq").to_numpy(zero_copy_only=False)
-                )
+    if not preimages:
+        mask = ins | upd | dele
+        op = np.select([ins, upd], ["insert", "update"], default="delete")
+        emit(new.filter(pa.array(mask)), pa.array(op[mask], pa.string()))
+    else:
+        if ins.any():
+            emit(new.filter(pa.array(ins)), "insert")
+        if upd.any():
+            emit(old.take(pa.array(safe[upd])), "update_preimage")
+            emit(new.filter(pa.array(upd)), "update_postimage")
+        if dele.any():
+            emit(old.take(pa.array(safe[dele])), "delete")
+    if old.num_rows:
+        # live old rows whose url has NO v_to row at all: the
+        # compacted-tombstone delete
+        oidx = pc.index_in(old.column("url"), value_set=new.column("url"))
+        gone = pc.is_null(oidx).to_numpy(zero_copy_only=False) & ~old_del
+        if gone.any():
+            if preimages:
+                emit(old.filter(pa.array(gone)), "delete")
             else:
-                same = np.zeros(len(new), bool)
-            ins = new_live & ~old_live
-            upd = new_live & old_live & ~same
-            dele = ~new_live & old_live
-
-            def emit(src: pa.Table, label: str) -> None:
-                cols = [
-                    src.column("url"),
-                    pa.array([label] * src.num_rows, pa.string()),
-                ]
-                cols += [
-                    src.column(f.name) for f in schema
-                    if f.name not in ("url", DELETED_COL)
-                ]
-                outs.append(pa.Table.from_arrays(cols, schema=out_schema))
-
-            if not preimages:
-                mask = ins | upd | dele
-                op = np.select([ins, upd], ["insert", "update"], default="delete")
-                changed = new.filter(pa.array(mask))
-                cols = [changed.column("url"), pa.array(op[mask], pa.string())]
-                cols += [
-                    changed.column(f.name) for f in schema
-                    if f.name not in ("url", DELETED_COL)
-                ]
-                outs.append(pa.Table.from_arrays(cols, schema=out_schema))
-            else:
-                if ins.any():
-                    emit(new.filter(pa.array(ins)), "insert")
-                if upd.any():
-                    emit(old.take(pa.array(safe[upd])), "update_preimage")
-                    emit(new.filter(pa.array(upd)), "update_postimage")
-                if dele.any():
-                    emit(old.take(pa.array(safe[dele])), "delete")
-            if old.num_rows:
-                # live old rows whose url has NO v_to row at all: the
-                # compacted-tombstone delete
-                oidx = pc.index_in(old.column("url"), value_set=new.column("url"))
-                gone = pc.is_null(oidx).to_numpy(zero_copy_only=False) & ~old_del
-                if gone.any():
-                    if preimages:
-                        emit(old.filter(pa.array(gone)), "delete")
-                    else:
-                        # identity unknown without the tombstone -> NULLs
-                        gone_urls = old.column("url").filter(pa.array(gone))
-                        n = len(gone_urls)
-                        gcols = [
-                            gone_urls.combine_chunks(),
-                            pa.array(["delete"] * n, pa.string()),
-                        ]
-                        gcols += [
-                            pa.nulls(n, f.type) for f in schema
-                            if f.name not in ("url", DELETED_COL)
-                        ]
-                        outs.append(
-                            pa.Table.from_arrays(gcols, schema=out_schema)
-                        )
-        if not outs:
-            return out_schema.empty_table()
-        return pa.concat_tables(outs)
-
-    feed = ray.data.from_items(
-        descs, override_num_blocks=len(descs)
-    ).map_batches(diff, batch_format="pyarrow", zero_copy_batch=True)
-    if purge_tbl is not None:
-        feed = feed.union(ray.data.from_arrow(purge_tbl))
-    return feed
+                # identity unknown without the tombstone -> NULLs
+                outs.append(_null_deletes(
+                    old.column("url").filter(pa.array(gone)).combine_chunks(),
+                    out_schema,
+                ))
+    return pa.concat_tables(outs) if outs else out_schema.empty_table()
 
 
 def scd2_history(
@@ -1356,10 +1257,6 @@ def entity_changes_between(
     row-level ``index_in`` (identical (warc_ts, seq) implies an
     identical row-set — extraction is deterministic — so unchanged
     urls emit nothing)."""
-    import polars as pl
-
-    from ..schemas import conform_table
-
     m_to = load_manifest(lake_dir, version=v_to)
     if m_to is None:
         raise FileNotFoundError(f"no committed lake at {lake_dir}")
@@ -1378,138 +1275,90 @@ def entity_changes_between(
             f"v{m_to.version} (a restore crossed an alter); "
             "this version pair cannot be diffed"
         )
-    schema = m_to.schema
-    feed_renames = [list(x) for x in m_to.renames]
-    if columns is not None:
-        need = {"url", "warc_ts", "seq", DELETED_COL} | set(columns)
-        schema = pa.schema([f for f in schema if f.name in need])
-    out_fields = [pa.field("url", pa.string()), pa.field(CHANGE_OP_COL, pa.string())]
-    out_fields += [f for f in schema if f.name not in ("url", DELETED_COL)]
-    out_schema = pa.schema(out_fields)
-    newly_purged = _newly_purged(
+    out_schema = _feed_schema(m_to.schema, columns)
+    purged = _newly_purged(
         lake_dir, 0 if m_from is None else m_from.version, m_to.version,
         preimages=preimages,
     )
-    purge_tbl = (
-        _purge_delete_rows(newly_purged, schema, out_schema)
-        if newly_purged else None
+    groups = _feed_pair_groups(m_to, m_from)
+    return _blocks_dataset(
+        partial(_diff_entities, _partition_reader(lake_dir, m_to,
+                                                  columns=columns),
+                out_schema, preimages),
+        groups, sum(g["bytes"] for g in groups), out_schema,
+        extra=_purge_delete_rows(purged, out_schema) if purged else None,
     )
-    descs = _feed_pair_groups(lake_dir, m_to, m_from)
-    if not descs:
-        return ray.data.from_arrow(
-            purge_tbl if purge_tbl is not None else out_schema.empty_table()
+
+
+def _diff_entities(read, out_schema: pa.Schema, preimages: bool, item: dict):
+    """One ancestor group's changes for :func:`entity_changes_between`:
+    a url-level version join of the two sides' effective states (all
+    rows of each url's winning version, tombstones kept, by ``read``)."""
+    import polars as pl
+
+    from ..schemas import conform_table
+
+    def info(df: pl.DataFrame) -> pl.DataFrame:
+        return df.group_by("url").agg(
+            pl.col("warc_ts").first().alias("_ts"),
+            pl.col("seq").first().alias("_seq"),
+            pl.col(DELETED_COL).fill_null(False).any().alias("_del"),
+            pl.lit(True).alias("_present"),
         )
 
-    def diff(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
+    new, old = read(item["new"]), read(item["old"])
+    schema = new.schema
+    outs = []
 
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
+    def emit(df: pl.DataFrame, label: str) -> None:
+        if df.height == 0:
+            return
+        t = conform_table(df.to_arrow(), schema)
+        outs.append(pa.Table.from_arrays(
+            [t.column("url"), pa.array([label] * t.num_rows, pa.string())]
+            + [t.column(n) for n in out_schema.names[2:]],
+            schema=out_schema,
+        ))
 
-        def read_file(p: str) -> pa.Table:
-            from ..schemas import apply_renames, physical_read_columns
-
-            f = pq.ParquetFile(p)
-            want = physical_read_columns(list(schema.names), feed_renames)
-            avail = [c for c in want if c in set(f.schema_arrow.names)]
-            return conform_table(
-                apply_renames(f.read(columns=avail), feed_renames), schema
-            )
-
-        def info(df: pl.DataFrame) -> pl.DataFrame:
-            return df.group_by("url").agg(
-                pl.col("warc_ts").first().alias("_ts"),
-                pl.col("seq").first().alias("_seq"),
-                pl.col(DELETED_COL).fill_null(False).any().alias("_del"),
-                pl.lit(True).alias("_present"),
-            )
-
-        outs = []
-
-        def emit(df: pl.DataFrame, label: str) -> None:
-            if df.height == 0:
-                return
-            t = conform_table(df.to_arrow(), schema)
-            cols = [
-                t.column("url"),
-                pa.array([label] * t.num_rows, pa.string()),
-            ]
-            cols += [
-                t.column(f.name) for f in schema
-                if f.name not in ("url", DELETED_COL)
-            ]
-            outs.append(pa.Table.from_arrays(cols, schema=out_schema))
-
-        from ..stages.merge import lww_winner_rows
-
-        for d in batch.to_pylist():
-            news = [read_file(p) for p in d["new_paths"]]
-            new = pa.concat_tables(news) if news else schema.empty_table()
-            if d["new_reduce"]:
-                # group-valued MOR: keep all rows of each url's winning
-                # version before the url-level version join
-                new = lww_winner_rows(new)
-            olds = [read_file(p) for p in d["old_paths"]]
-            old = pa.concat_tables(olds) if olds else schema.empty_table()
-            if d["old_reduce"]:
-                old = lww_winner_rows(old)
-            nd, od = pl.from_arrow(new), pl.from_arrow(old)
-            j = info(nd).join(
-                info(od), on="url", how="full",
-                coalesce=True, suffix="_o",
-            ).with_columns(
-                pl.col("_present").fill_null(False),
-                pl.col("_present_o").fill_null(False),
-                pl.col("_del").fill_null(False),
-                pl.col("_del_o").fill_null(False),
-            )
-            new_live = pl.col("_present") & ~pl.col("_del")
-            old_live = pl.col("_present_o") & ~pl.col("_del_o")
-            same = (pl.col("_ts") == pl.col("_ts_o")) & (
-                pl.col("_seq") == pl.col("_seq_o")
-            )
-            j = j.with_columns(
-                (new_live & ~old_live).alias("_ins"),
-                (new_live & old_live & ~same.fill_null(False)).alias("_upd"),
-                (~new_live & old_live).alias("_rm"),
-            )
-            ins = j.filter("_ins").select("url")
-            upd = j.filter("_upd").select("url")
-            rm_tomb = j.filter(pl.col("_rm") & pl.col("_present")).select("url")
-            rm_gone = j.filter(pl.col("_rm") & ~pl.col("_present")).select("url")
-            emit(nd.join(ins, on="url", how="semi"), "insert")
-            if preimages:
-                emit(od.join(upd, on="url", how="semi"), "update_preimage")
-                emit(nd.join(upd, on="url", how="semi"), "update_postimage")
-                rm_all = pl.concat([rm_tomb, rm_gone])
-                emit(od.join(rm_all, on="url", how="semi"), "delete")
-            else:
-                emit(nd.join(upd, on="url", how="semi"), "update")
-                emit(nd.join(rm_tomb, on="url", how="semi"), "delete")
-                if rm_gone.height:
-                    # compacted-away tombstone: identity unknown
-                    urls = rm_gone.get_column("url").to_list()
-                    gcols = [
-                        pa.array(urls, pa.string()),
-                        pa.array(["delete"] * len(urls), pa.string()),
-                    ]
-                    gcols += [
-                        pa.nulls(len(urls), f.type) for f in schema
-                        if f.name not in ("url", DELETED_COL)
-                    ]
-                    outs.append(
-                        pa.Table.from_arrays(gcols, schema=out_schema)
-                    )
-        if not outs:
-            return out_schema.empty_table()
-        return pa.concat_tables(outs)
-
-    feed = ray.data.from_items(
-        descs, override_num_blocks=len(descs)
-    ).map_batches(diff, batch_format="pyarrow", zero_copy_batch=True)
-    if purge_tbl is not None:
-        feed = feed.union(ray.data.from_arrow(purge_tbl))
-    return feed
+    nd, od = pl.from_arrow(new), pl.from_arrow(old)
+    j = info(nd).join(
+        info(od), on="url", how="full", coalesce=True, suffix="_o",
+    ).with_columns(
+        pl.col("_present").fill_null(False),
+        pl.col("_present_o").fill_null(False),
+        pl.col("_del").fill_null(False),
+        pl.col("_del_o").fill_null(False),
+    )
+    new_live = pl.col("_present") & ~pl.col("_del")
+    old_live = pl.col("_present_o") & ~pl.col("_del_o")
+    same = (pl.col("_ts") == pl.col("_ts_o")) & (
+        pl.col("_seq") == pl.col("_seq_o")
+    )
+    j = j.with_columns(
+        (new_live & ~old_live).alias("_ins"),
+        (new_live & old_live & ~same.fill_null(False)).alias("_upd"),
+        (~new_live & old_live).alias("_rm"),
+    )
+    ins = j.filter("_ins").select("url")
+    upd = j.filter("_upd").select("url")
+    rm_tomb = j.filter(pl.col("_rm") & pl.col("_present")).select("url")
+    rm_gone = j.filter(pl.col("_rm") & ~pl.col("_present")).select("url")
+    emit(nd.join(ins, on="url", how="semi"), "insert")
+    if preimages:
+        emit(od.join(upd, on="url", how="semi"), "update_preimage")
+        emit(nd.join(upd, on="url", how="semi"), "update_postimage")
+        rm_all = pl.concat([rm_tomb, rm_gone])
+        emit(od.join(rm_all, on="url", how="semi"), "delete")
+    else:
+        emit(nd.join(upd, on="url", how="semi"), "update")
+        emit(nd.join(rm_tomb, on="url", how="semi"), "delete")
+        if rm_gone.height:
+            # compacted-away tombstone: identity unknown
+            outs.append(_null_deletes(
+                pa.array(rm_gone.get_column("url").to_list(), pa.string()),
+                out_schema,
+            ))
+    return pa.concat_tables(outs) if outs else out_schema.empty_table()
 
 
 def read_errors(lake_dir: str) -> pa.Table:
@@ -1686,14 +1535,12 @@ REDRIVE_LOCK_NAME = "_redrive.lock.json"
 
 def lookup_urls(lake_dir: str, urls: list[str]) -> pa.Table:
     """Point lookup: the stable crc32 partitioning routes each url to
-    exactly one partition file, so a k-url lookup touches at most k
-    files (plus a parquet row-group predicate on ``url``) — no scan,
-    no Ray job. Driver-side by design: this is the small-read path."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
+    exactly one partition, so a k-url lookup reads at most k
+    partitions' files — no scan, no Ray job. Driver-side by design:
+    this is the small-read path. Each file is one whole-file read (one
+    GET on ``s3://``) cut to the routed urls before the LWW
+    reduction."""
     import zlib
-
-    from ..stages.merge import DELETED_COL
 
     from ..state.checkpoint import resolve_partition
 
@@ -1707,67 +1554,28 @@ def lookup_urls(lake_dir: str, urls: list[str]) -> pa.Table:
             zlib.crc32(u.encode("utf-8")), manifest.num_partitions, splits
         )
         by_part.setdefault(part, []).append(u)
-    from ..schemas import apply_renames, conform_table
-
-    from ..stages.merge import reduce_fn_for_kind
-
-    tables = []
-    for part, part_urls in sorted(by_part.items()):
-        rels = manifest.part_files(part)
-        if not rels:
-            continue
-        pieces = [
-            conform_table(
-                apply_renames(
-                    pq.read_table(
-                        os.path.join(lake_dir, rel),
-                        filters=[("url", "in", part_urls)],
-                    ),
-                    manifest.renames,
-                ),
-                manifest.schema,
-            )
-            for rel in rels
-        ]
-        t = pa.concat_tables(pieces)
-        if len(pieces) > 1:
-            # MOR deltas pending: LWW over base+deltas. Pre-filtering
-            # by url is safe below the reduction — url IS the LWW
-            # group key, so every group survives or drops whole.
-            t = reduce_fn_for_kind(manifest.kind)(t)
-        tables.append(t)
-    if not tables:
-        out = manifest.schema.empty_table()
-    else:
-        out = pa.concat_tables(tables)
-    if DELETED_COL in out.column_names:
-        mask = pc.fill_null(pc.invert(out.column(DELETED_COL)), True)
-        out = out.filter(mask).drop_columns([DELETED_COL])
+    read = _partition_reader(lake_dir, manifest)
+    out = pa.concat_tables([visible_rows(manifest.schema.empty_table())] + [
+        visible_rows(read(manifest.part_files(part),
+                          urls=pa.array(part_urls, pa.string())))
+        for part, part_urls in sorted(by_part.items())
+    ])
     return out.sort_by("url")
 
 
 def lake_snapshot(lake_dir: str, *, version: int | None = None) -> pa.Table:
     """Whole lake as one Arrow table, sorted by url — small lakes /
-    tests only. ``version`` time-travels to a retained snapshot."""
+    tests only. ``version`` time-travels to a retained snapshot. One
+    plan item per partition on the plain partition tasks."""
     manifest = load_manifest(lake_dir, version=version)
     if manifest is None:
         raise FileNotFoundError(f"no committed lake at {lake_dir}")
     parts = manifest.all_parts()
     if not parts:
         return (manifest.schema or pa.schema([])).empty_table()
-    import pyarrow.compute as pc
-
-    from ..stages.merge import read_effective_partition
-
-    tables = [
-        read_effective_partition(
-            lake_dir, part, manifest.part_files(part), manifest.schema,
-            kind=manifest.kind, renames=manifest.renames,
-        )
-        for part in parts
-    ]
-    out = pa.concat_tables(tables)
-    if DELETED_COL in out.column_names:
-        mask = pc.fill_null(pc.invert(out.column(DELETED_COL)), True)
-        out = out.filter(mask).drop_columns([DELETED_COL])
-    return out.sort_by("url")
+    names = [f.name for f in manifest.schema if f.name != DELETED_COL]
+    tables = map_partitions(
+        partial(_read_visible, _partition_reader(lake_dir, manifest), names),
+        [{"rels": manifest.part_files(p)} for p in parts],
+    )
+    return pa.concat_tables(tables).sort_by("url")

@@ -179,7 +179,7 @@ def _dml_partition(
     if done is not None:
         return {**done, "matched": done["rows"]}
     eff = read_effective_partition(
-        lake_dir, part, files[part], schema, kind=kind, renames=renames,
+        lake_dir, files[part], schema, kind=kind, renames=renames,
     )
     if DELETED_COL in eff.column_names:
         eff = eff.filter(pc.fill_null(pc.invert(eff.column(DELETED_COL)), True))

@@ -560,7 +560,7 @@ def _rewrite_effective(
 
 def _read_and_write(lake_dir, files, schema, kind, renames, write, part):
     return write(part, read_effective_partition(
-        lake_dir, part, files[part], schema, kind=kind, renames=renames,
+        lake_dir, files[part], schema, kind=kind, renames=renames,
     ))
 
 

@@ -457,25 +457,32 @@ def reduce_fn_for_kind(kind: str):
 
 def read_effective_partition(
     lake_dir: str,
-    part: int,
     rels: list[str],
     schema: pa.Schema,
     *,
     kind: str = "row",
     columns: list[str] | None = None,
     renames: list | None = None,
+    filter: "pc.Expression | None" = None,
+    urls: pa.Array | None = None,
 ) -> pa.Table:
     """Effective (merge-on-read) state of one partition: read its base
     file plus any MOR delta files, conform each to ``schema``, apply
     the kind-appropriate LWW reduction. Tombstone rows are RETAINED —
-    callers filter ``_deleted`` when they want the observable rows.
+    callers drop them with :func:`visible_rows`.
 
     ``columns`` prunes the parquet reads, but the LWW key columns
     (url, warc_ts, seq) and the tombstone flag are always read — a
-    correct merge needs them — and dropped again afterwards. A
-    predicate can only be applied AFTER the reduction (filtering an
-    arbitrary column below LWW could drop the winning version and
-    resurrect an older row), so no payload filter is taken here.
+    correct merge needs them — and dropped again afterwards.
+
+    ``filter`` keeps the rows it matches. A partition of one file with
+    no rename log passes it (and ``columns``) into the parquet read,
+    where row-group statistics prune before bytes move; otherwise it
+    applies AFTER the reduction (filtering an arbitrary column below
+    LWW could drop the winning version and resurrect an older row).
+    ``urls`` keeps only those urls, file by file before the reduction:
+    sound because url IS the LWW key, so a url's versions stay or go
+    together.
 
     ``renames`` is the manifest's metadata-only column-rename log
     (``pipelines.ddl.alter_lake``): files written before a rename
@@ -483,8 +490,12 @@ def read_effective_partition(
     live column's historical aliases and the batch passes through
     :func:`..schemas.apply_renames` before conforming.
     """
-    from ..schemas import apply_renames, physical_read_columns
+    import pyarrow.compute as pc
 
+    from ..schemas import apply_renames, physical_read_columns
+    from ..state.iofs import parquet_source
+
+    lake_schema = schema
     need = None
     if columns is not None:
         need = {"url", "warc_ts", "seq", DELETED_COL} | set(columns)
@@ -493,28 +504,51 @@ def read_effective_partition(
         None if need is None
         else physical_read_columns(list(schema.names), renames or [])
     )
-
-    from ..state.iofs import parquet_source
+    pushdown = filter is not None and len(rels) == 1 and not renames
 
     pieces = []
     for rel in rels:
         path = os.path.join(lake_dir, rel)
-        if read_names is None:
-            # whole-file read: an s3:// object in one GET
-            f = pq.ParquetFile(parquet_source(path))
-            avail = None
+        # whole-file read: an s3:// object in one GET; pruned read:
+        # pyarrow's ranged reads fetch only the columns (and, pushed
+        # down, only the row groups the filter can match)
+        f = pq.ParquetFile(parquet_source(path) if read_names is None
+                           and not pushdown else path)
+        names = f.schema_arrow.names
+        avail = None if read_names is None else [
+            c for c in read_names if c in set(names)
+        ]
+        if pushdown:
+            # columns the file predates read as nulls, as conform fills
+            full = pa.schema(list(f.schema_arrow) + [
+                fld for fld in lake_schema if fld.name not in set(names)
+            ])
+            piece = pq.read_table(path, schema=full, filters=filter,
+                                  columns=avail or list(names))
         else:
-            # pruned read: pyarrow's ranged reads fetch only the columns
-            f = pq.ParquetFile(path)
-            avail = [c for c in read_names if c in set(f.schema_arrow.names)]
-        piece = apply_renames(f.read(columns=avail), renames)
+            piece = apply_renames(f.read(columns=avail), renames)
+        if urls is not None:
+            piece = piece.filter(pc.is_in(piece.column("url"), value_set=urls))
         pieces.append(conform_table(piece, schema))
     if not pieces:
         return schema.empty_table()
     merged = pa.concat_tables(pieces)
     if len(pieces) > 1:
         merged = reduce_fn_for_kind(kind)(merged)
+    if filter is not None and not pushdown:
+        merged = merged.filter(filter)
     return conform_table(merged, schema)
+
+
+def visible_rows(table: pa.Table) -> pa.Table:
+    """The observable rows of an effective state: tombstones dropped,
+    with their flag column (a null flag counts as live)."""
+    import pyarrow.compute as pc
+
+    if DELETED_COL not in table.column_names:
+        return table
+    mask = pc.fill_null(pc.invert(table.column(DELETED_COL)), True)
+    return table.filter(mask).drop_columns([DELETED_COL])
 
 
 def count_tombstones(table: pa.Table) -> int:
@@ -594,34 +628,44 @@ TASK_OPTIONS = dict(
 # memory on a large base plus MOR deltas) must fail the operation, not
 # hang.
 @ray.remote(**{**TASK_OPTIONS, "max_retries": 3})
-def partition_task(fn, items: list) -> list:
-    """One task's share of a partition rewrite: ``fn(item)`` per item.
-    Arrow's pools are pinned to the task's one CPU: the machine-wide
-    default makes concurrent rewrite tasks thrash each other."""
+def partition_task(fn, items: list):
+    """One task's share of a partition map: ``fn(item)`` per item, each
+    result its own return object, yielded as it is made so the worker
+    holds one result at a time. Arrow's pools are pinned to the task's
+    one CPU: the machine-wide default makes concurrent tasks thrash
+    each other."""
     pa.set_cpu_count(1)
     pa.set_io_thread_count(2)
-    return [fn(item) for item in items]
+    for item in items:
+        yield fn(item)
 
 
-def map_partitions(fn, items: list) -> list:
-    """``[fn(item) for item in items]`` on plain Ray tasks, at most one
-    per CPU (a small partition's rewrite costs less than a task's
-    dispatch): the one path every partition rewrite — ingest merge,
-    fold, compaction, cluster, split, DML, branch merge, purge — runs
-    on. ``fn`` is shipped once; only results come back."""
+def partition_refs(fn, items: list) -> list:
+    """``fn(item)`` for each item on plain Ray tasks, as one ObjectRef
+    per item, in order, without waiting for them. At most one task per
+    CPU: a small partition's work costs less than a task's dispatch.
+    ``fn`` is shipped once."""
     if not items:
         return []
     cpus = int(ray.cluster_resources().get("CPU", 8))
     size = -(-len(items) // cpus)
     fn_ref = ray.put(fn)
-    return [
-        out
-        for chunk in ray.get([
-            partition_task.remote(fn_ref, items[i : i + size])
-            for i in range(0, len(items), size)
-        ])
-        for out in chunk
-    ]
+    refs = []
+    for i in range(0, len(items), size):
+        chunk = items[i : i + size]
+        out = partition_task.options(num_returns=len(chunk)).remote(
+            fn_ref, chunk
+        )
+        refs.extend([out] if len(chunk) == 1 else out)
+    return refs
+
+
+def map_partitions(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` on :func:`partition_refs`: the
+    one path every partition rewrite — ingest merge, fold, compaction,
+    cluster, split, DML, branch merge, purge — and every small lake
+    read runs on."""
+    return ray.get(partition_refs(fn, items))
 
 
 def _spill_manifest(part, rows, path, row_group) -> pa.Table:
@@ -930,7 +974,7 @@ class PartitionMerger:
         events_applied = delta.num_rows
         if not mor:
             prior = read_effective_partition(
-                self._lake_dir, part, self._prior_files[part],
+                self._lake_dir, self._prior_files[part],
                 self._lake_schema, kind=self._kind, renames=self._renames,
             )
             if prior.num_rows:
