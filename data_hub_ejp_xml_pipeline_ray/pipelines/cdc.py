@@ -752,9 +752,6 @@ def _feed_pair_groups(m_to, m_from) -> list[dict]:
     manifests' record of both sides' files."""
     from ..state.checkpoint import resolve_partition
 
-    def nbytes(m, part) -> int:
-        return _planned_bytes(m, [part])
-
     from_splits = m_from.split_set() if m_from is not None else frozenset()
     num_p = m_to.num_partitions
     groups: dict = {}
@@ -767,17 +764,19 @@ def _feed_pair_groups(m_to, m_from) -> list[dict]:
         key = old_part if old_rels else ("new", part)
         g = groups.setdefault(key, {
             "old": old_rels, "new": [],
-            "bytes": nbytes(m_from, old_part) if old_rels else 0,
+            "bytes": _planned_bytes(m_from, [old_part]) if old_rels else 0,
         })
         g["new"].extend(m_to.part_files(part))
-        g["bytes"] += nbytes(m_to, part)
+        g["bytes"] += _planned_bytes(m_to, [part])
     if m_from is not None:
         for old_part in m_from.all_parts():
             # old partition with zero descendant files: all rows gone
             old_rels = m_from.part_files(old_part)
             if old_part not in groups and old_rels:
-                groups[old_part] = {"old": old_rels, "new": [],
-                                    "bytes": nbytes(m_from, old_part)}
+                groups[old_part] = {
+                    "old": old_rels, "new": [],
+                    "bytes": _planned_bytes(m_from, [old_part]),
+                }
     return [g for g in groups.values() if sorted(g["old"]) != sorted(g["new"])]
 
 
@@ -792,16 +791,12 @@ def _feed_schema(schema: pa.Schema, columns: list[str] | None) -> pa.Schema:
     )
 
 
-def _purge_delete_rows(urls: list[str], out_schema: pa.Schema) -> pa.Table:
-    """Synthetic NULL-identity delete rows for PURGED urls: the history
+def _null_deletes(urls: pa.Array, out_schema: pa.Schema) -> pa.Table:
+    """NULL-identity delete rows: a url whose winning delete is no
+    longer recorded. Compaction dropped its tombstone, or the history
     rewrite (``maintenance.purge_urls``) scrubbed the key from BOTH
     snapshots' files, so the diff kernel cannot see it — but a consumer
-    that replicated the row before the purge must still retire it. Same
-    honest-NULL shape as the compacted-away-tombstone delete."""
-    return _null_deletes(pa.array(urls, pa.string()), out_schema)
-
-
-def _null_deletes(urls: pa.Array, out_schema: pa.Schema) -> pa.Table:
+    that replicated the row before must still retire it."""
     n = len(urls)
     return pa.Table.from_arrays(
         [urls, pa.array(["delete"] * n, pa.string())]
@@ -936,7 +931,8 @@ def changes_between(
         partial(_diff_rows, _partition_reader(lake_dir, m_to, columns=columns),
                 out_schema, preimages),
         groups, sum(g["bytes"] for g in groups), out_schema,
-        extra=_purge_delete_rows(purged, out_schema) if purged else None,
+        extra=(_null_deletes(pa.array(purged, pa.string()), out_schema)
+               if purged else None),
     )
 
 
@@ -1286,7 +1282,8 @@ def entity_changes_between(
                                                   columns=columns),
                 out_schema, preimages),
         groups, sum(g["bytes"] for g in groups), out_schema,
-        extra=_purge_delete_rows(purged, out_schema) if purged else None,
+        extra=(_null_deletes(pa.array(purged, pa.string()), out_schema)
+               if purged else None),
     )
 
 

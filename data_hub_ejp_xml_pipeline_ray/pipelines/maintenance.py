@@ -254,7 +254,7 @@ def purge_urls(lake_dir: str, urls: list[str]) -> dict:
     industry practice: run a normal delete first if downstream feed
     consumers need the ordinary tombstone event; the purge itself makes
     feeds crossing it synthesize NULL-identity deletes
-    (``cdc._purge_delete_rows``) and REFUSES preimage feeds (the
+    (``cdc._null_deletes``) and REFUSES preimage feeds (the
     pre-image is unrecoverable by design).
 
     Scale shape: urls hash-route to their partitions through the same
