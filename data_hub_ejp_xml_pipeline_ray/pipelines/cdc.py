@@ -36,6 +36,7 @@ from functools import partial
 from typing import Any
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
@@ -585,50 +586,21 @@ def run_nested_ingest(cfg: CdcConfig, *, struct_version: int = 1) -> IngestRepor
     )
 
 
-#: A Dataset-returning read whose planned partitions record more than
-#: this share of the object store (the manifest's ``bytes`` +
-#: ``delta_bytes``: compressed parquet, which decodes to several times
-#: its size) streams through Ray Data, whose executor bounds what is in
-#: flight. A smaller read runs on plain partition tasks and hands back
-#: their blocks: a Dataset launch costs more than a small read's work.
-READ_STORE_SHARE = 1 / 16
-
-
-def _planned_bytes(manifest, parts) -> int:
-    return sum(
-        meta.get("bytes", 0) + meta.get("delta_bytes", 0)
-        for meta in (manifest.partition_meta.get(p, {}) for p in parts)
-    )
-
-
-def _each_item(fn, batch: pa.Table):
-    for item in batch.to_pylist():
-        yield fn(item)
-
-
 def _blocks_dataset(
-    fn, items: list[dict], nbytes: int, schema: pa.Schema,
-    extra: pa.Table | None = None,
+    fn, items: list[dict], schema: pa.Schema, extra: pa.Table | None = None,
 ) -> ray.data.Dataset:
     """The Dataset every lake read returns: ``fn(item)`` is one Arrow
-    block typed ``schema`` per plan item, ``extra`` one more block.
-    Under the :data:`READ_STORE_SHARE` budget the items run on
-    :func:`..stages.merge.partition_refs` and their blocks come back
-    through ``from_arrow_refs``; above it they stream through one
-    ``from_items(...).map_batches``, one block per item."""
+    block typed ``schema`` per plan item, ``extra`` one more block. The
+    items run on :func:`..stages.merge.partition_refs` and the blocks
+    come back through ``from_arrow_refs``, so the read is EAGER: every
+    task is launched before this returns, and the blocks stay in the
+    object store (Ray spills what exceeds it to disk) until the Dataset
+    is dropped. A caller that consumes part of the result still pays
+    for the whole read."""
     if not items:
         return ray.data.from_arrow(
             extra if extra is not None else schema.empty_table()
         )
-    store = ray.cluster_resources().get("object_store_memory", 0)
-    if nbytes > store * READ_STORE_SHARE:
-        ds = ray.data.from_items(
-            items, override_num_blocks=len(items)
-        ).map_batches(
-            partial(_each_item, fn), batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        return ds if extra is None else ds.union(ray.data.from_arrow(extra))
     refs = partition_refs(fn, items)
     if extra is not None:
         refs.append(ray.put(extra))
@@ -662,16 +634,19 @@ def read_lake(
     ``version`` time-travels to a retained snapshot (see
     ``CdcConfig.retain_versions``). ``columns`` prunes at the parquet
     read — only those columns (plus the LWW key) leave storage.
-    ``filter`` is a ``pyarrow.compute`` expression: a partition of one
-    file takes it into its parquet read (row-group statistics prune
-    before bytes move); one with pending MOR deltas applies it after
+    ``filter`` is a ``pyarrow.compute`` expression: a filter on ``url``
+    alone, or any filter on a partition of one file, is taken into the
+    parquet reads (row-group statistics prune before rows decode);
+    otherwise, on a partition with pending MOR deltas, it applies after
     the LWW reduction, the only sound place. Tombstones are always
     dropped — and because they carry NULL payload, a payload predicate
     never resurrects them.
 
     Each partition is one item of the plan, read whole (base + every
-    delta) by :func:`..stages.merge.read_effective_partition`; see
-    :func:`_blocks_dataset` for where the items run.
+    delta) by :func:`..stages.merge.read_effective_partition`. The read
+    is eager: the partition tasks run when this is called, and the
+    blocks are held until the Dataset is dropped (see
+    :func:`_blocks_dataset`).
 
     ``constraints`` — ``[col, op[, value]]`` triples (the CLI
     ``--constraint`` grammar, ANDed) — additionally drive the SCAN
@@ -712,7 +687,6 @@ def read_lake(
     return _blocks_dataset(
         partial(_read_visible, read, names),
         [{"rels": manifest.part_files(p)} for p in parts],
-        _planned_bytes(manifest, parts),
         pa.schema([schema.field(n) for n in names]),
     )
 
@@ -748,8 +722,7 @@ def _feed_pair_groups(m_to, m_from) -> list[dict]:
     v_from files with zero descendants. A group whose old and new file
     lists are equal holds the same rows on both sides and is left out,
     so a feed costs O(changed partitions). Each group is
-    ``{"old": relpaths, "new": relpaths, "bytes": n}``, ``bytes`` the
-    manifests' record of both sides' files."""
+    ``{"old": relpaths, "new": relpaths}``."""
     from ..state.checkpoint import resolve_partition
 
     from_splits = m_from.split_set() if m_from is not None else frozenset()
@@ -762,21 +735,15 @@ def _feed_pair_groups(m_to, m_from) -> list[dict]:
         )
         old_rels = m_from.part_files(old_part) if old_part is not None else []
         key = old_part if old_rels else ("new", part)
-        g = groups.setdefault(key, {
-            "old": old_rels, "new": [],
-            "bytes": _planned_bytes(m_from, [old_part]) if old_rels else 0,
-        })
-        g["new"].extend(m_to.part_files(part))
-        g["bytes"] += _planned_bytes(m_to, [part])
+        groups.setdefault(key, {"old": old_rels, "new": []})["new"].extend(
+            m_to.part_files(part)
+        )
     if m_from is not None:
         for old_part in m_from.all_parts():
             # old partition with zero descendant files: all rows gone
             old_rels = m_from.part_files(old_part)
             if old_part not in groups and old_rels:
-                groups[old_part] = {
-                    "old": old_rels, "new": [],
-                    "bytes": _planned_bytes(m_from, [old_part]),
-                }
+                groups[old_part] = {"old": old_rels, "new": []}
     return [g for g in groups.values() if sorted(g["old"]) != sorted(g["new"])]
 
 
@@ -874,9 +841,10 @@ def changes_between(
     union of its descendant files — which also catches descendants
     with no v_to file (all rows gone) and old partitions with no
     descendants at all; a group whose files did not change is not
-    read. The items run as :func:`_blocks_dataset` says, each block
-    typed, purged urls one more block. ``v_from=0`` diffs against the empty lake
-    (everything live is an insert).
+    read. Each group is one typed block, purged urls one more. The feed
+    is eager like :func:`read_lake`: every group is diffed when this is
+    called (see :func:`_blocks_dataset`). ``v_from=0`` diffs against
+    the empty lake (everything live is an insert).
 
     ``columns`` prunes the PAYLOAD columns the feed carries (and
     reads from storage — a consumer aggregating one metric column
@@ -930,7 +898,7 @@ def changes_between(
     return _blocks_dataset(
         partial(_diff_rows, _partition_reader(lake_dir, m_to, columns=columns),
                 out_schema, preimages),
-        groups, sum(g["bytes"] for g in groups), out_schema,
+        groups, out_schema,
         extra=(_null_deletes(pa.array(purged, pa.string()), out_schema)
                if purged else None),
     )
@@ -943,7 +911,6 @@ def _diff_rows(read, out_schema: pa.Schema, preimages: bool, item: dict):
     disjoint across descendant partitions, so one reduction over a
     side's files is exact)."""
     import numpy as np
-    import pyarrow.compute as pc
 
     old, new = read(item["old"]), read(item["new"])
     payload = out_schema.names[2:]
@@ -1252,7 +1219,7 @@ def entity_changes_between(
     per-group kernel is a polars url-level version join instead of a
     row-level ``index_in`` (identical (warc_ts, seq) implies an
     identical row-set — extraction is deterministic — so unchanged
-    urls emit nothing)."""
+    urls emit nothing). Eager, like :func:`changes_between`."""
     m_to = load_manifest(lake_dir, version=v_to)
     if m_to is None:
         raise FileNotFoundError(f"no committed lake at {lake_dir}")
@@ -1281,7 +1248,7 @@ def entity_changes_between(
         partial(_diff_entities, _partition_reader(lake_dir, m_to,
                                                   columns=columns),
                 out_schema, preimages),
-        groups, sum(g["bytes"] for g in groups), out_schema,
+        groups, out_schema,
         extra=(_null_deletes(pa.array(purged, pa.string()), out_schema)
                if purged else None),
     )
@@ -1534,9 +1501,10 @@ def lookup_urls(lake_dir: str, urls: list[str]) -> pa.Table:
     """Point lookup: the stable crc32 partitioning routes each url to
     exactly one partition, so a k-url lookup reads at most k
     partitions' files — no scan, no Ray job. Driver-side by design:
-    this is the small-read path. Each file is one whole-file read (one
-    GET on ``s3://``) cut to the routed urls before the LWW
-    reduction."""
+    this is the small-read path. The routed urls are pushed into every
+    file's read as one url predicate (sound below the LWW reduction:
+    url is its key), so only the row groups whose url statistics can
+    hold them decode; on ``s3://`` each file is one GET."""
     import zlib
 
     from ..state.checkpoint import resolve_partition
@@ -1554,10 +1522,22 @@ def lookup_urls(lake_dir: str, urls: list[str]) -> pa.Table:
     read = _partition_reader(lake_dir, manifest)
     out = pa.concat_tables([visible_rows(manifest.schema.empty_table())] + [
         visible_rows(read(manifest.part_files(part),
-                          urls=pa.array(part_urls, pa.string())))
+                          filter=_any_url(part_urls)))
         for part, part_urls in sorted(by_part.items())
     ])
     return out.sort_by("url")
+
+
+def _any_url(urls: list[str]) -> "pc.Expression":
+    """``url == u1 or url == u2 or ...`` as a balanced tree: the form
+    parquet row-group statistics prune on (pyarrow's ``is_in`` prunes
+    no row group)."""
+    terms = [pc.field("url") == u for u in urls]
+    while len(terms) > 1:
+        terms = [a | b for a, b in zip(terms[::2], terms[1::2])] + (
+            terms[-1:] if len(terms) % 2 else []
+        )
+    return terms[0]
 
 
 def lake_snapshot(lake_dir: str, *, version: int | None = None) -> pa.Table:

@@ -3159,7 +3159,7 @@ def q_cdc_lake_state_mor(sf_dir: str):
     committed lake is pure per-partition delta files (no base ever
     written, write amplification O(delta)) and the MERGE-ON-READ scan
     path — per-partition base+delta LWW at read time,
-    ``cdc._read_lake_mor`` / ``stages.merge.read_effective_partition``
+    ``cdc.read_lake`` / ``stages.merge.read_effective_partition``
     — produces the observable state. Hash-equal to the identical
     window-LWW SQL oracle as ``cdc_lake_state``: CoW and MOR are
     interchangeable layouts of one logical table."""

@@ -32,6 +32,8 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.dataset as ds
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 import ray
 from ray.exceptions import RaySystemError
@@ -464,7 +466,6 @@ def read_effective_partition(
     columns: list[str] | None = None,
     renames: list | None = None,
     filter: "pc.Expression | None" = None,
-    urls: pa.Array | None = None,
 ) -> pa.Table:
     """Effective (merge-on-read) state of one partition: read its base
     file plus any MOR delta files, conform each to ``schema``, apply
@@ -475,14 +476,16 @@ def read_effective_partition(
     (url, warc_ts, seq) and the tombstone flag are always read — a
     correct merge needs them — and dropped again afterwards.
 
-    ``filter`` keeps the rows it matches. A partition of one file with
-    no rename log passes it (and ``columns``) into the parquet read,
-    where row-group statistics prune before bytes move; otherwise it
-    applies AFTER the reduction (filtering an arbitrary column below
-    LWW could drop the winning version and resurrect an older row).
-    ``urls`` keeps only those urls, file by file before the reduction:
-    sound because url IS the LWW key, so a url's versions stay or go
-    together.
+    ``filter`` keeps the rows it matches. It goes below the reduction
+    where that is sound: into every file's read when it reads ``url``
+    alone (url IS the LWW key, so a url's versions stay or go
+    together), and into the read of a partition of one file with no
+    rename log whatever it reads. There a fragment scan lets row-group
+    statistics skip groups before they decode; a url-only filter on a
+    file of one group cuts the whole-file read instead, which costs
+    less. Otherwise the filter applies AFTER the reduction (filtering
+    an arbitrary column below LWW could drop the winning version and
+    resurrect an older row).
 
     ``renames`` is the manifest's metadata-only column-rename log
     (``pipelines.ddl.alter_lake``): files written before a rename
@@ -490,8 +493,6 @@ def read_effective_partition(
     live column's historical aliases and the batch passes through
     :func:`..schemas.apply_renames` before conforming.
     """
-    import pyarrow.compute as pc
-
     from ..schemas import apply_renames, physical_read_columns
     from ..state.iofs import parquet_source
 
@@ -504,32 +505,32 @@ def read_effective_partition(
         None if need is None
         else physical_read_columns(list(schema.names), renames or [])
     )
-    pushdown = filter is not None and len(rels) == 1 and not renames
+    url_only = filter is not None and _reads_url_only(filter)
+    pushdown = url_only or (
+        filter is not None and len(rels) == 1 and not renames
+    )
 
     pieces = []
     for rel in rels:
         path = os.path.join(lake_dir, rel)
         # whole-file read: an s3:// object in one GET; pruned read:
-        # pyarrow's ranged reads fetch only the columns (and, pushed
-        # down, only the row groups the filter can match)
-        f = pq.ParquetFile(parquet_source(path) if read_names is None
-                           and not pushdown else path)
-        names = f.schema_arrow.names
-        avail = None if read_names is None else [
-            c for c in read_names if c in set(names)
-        ]
-        if pushdown:
-            # columns the file predates read as nulls, as conform fills
-            full = pa.schema(list(f.schema_arrow) + [
-                fld for fld in lake_schema if fld.name not in set(names)
-            ])
-            piece = pq.read_table(path, schema=full, filters=filter,
-                                  columns=avail or list(names))
+        # ranged reads fetch only the columns
+        source = parquet_source(path) if read_names is None else path
+        if pushdown and not url_only:
+            piece = _scan_matching(source, filter, read_names, lake_schema)
         else:
-            piece = apply_renames(f.read(columns=avail), renames)
-        if urls is not None:
-            piece = piece.filter(pc.is_in(piece.column("url"), value_set=urls))
-        pieces.append(conform_table(piece, schema))
+            f = pq.ParquetFile(source)
+            if url_only and f.metadata.num_row_groups > 1:
+                # statistics can skip groups; the scan reads the footer
+                # a second time, which a one-group file is spared
+                piece = _scan_matching(source, filter, read_names)
+            else:
+                piece = f.read(
+                    columns=_present(read_names, f.schema_arrow.names)
+                )
+                if url_only:
+                    piece = piece.filter(filter)
+        pieces.append(conform_table(apply_renames(piece, renames), schema))
     if not pieces:
         return schema.empty_table()
     merged = pa.concat_tables(pieces)
@@ -538,6 +539,48 @@ def read_effective_partition(
     if filter is not None and not pushdown:
         merged = merged.filter(filter)
     return conform_table(merged, schema)
+
+
+_PARQUET = ds.ParquetFileFormat()
+_LOCAL_FS = pafs.LocalFileSystem()
+
+
+def _scan_matching(source, filter, read_names, lake_schema=None):
+    """The rows of one parquet file (a POSIX or ``s3://`` path, or an
+    object already in memory) that ``filter`` matches, through a
+    fragment scan: row-group statistics skip groups, and the columns
+    the filter reads are read even outside ``read_names``. Given
+    ``lake_schema``, columns the file predates read as nulls, as
+    conform fills them."""
+    from ..state.iofs import is_s3_path
+
+    if not isinstance(source, str):
+        frag = _PARQUET.make_fragment(source)
+    elif is_s3_path(source):
+        fs, key = pafs.FileSystem.from_uri(source)
+        frag = _PARQUET.make_fragment(key, fs)
+    else:
+        frag = _PARQUET.make_fragment(source, _LOCAL_FS)
+    have = frag.physical_schema  # the scan's one footer read
+    full = None if lake_schema is None else pa.schema(list(have) + [
+        fld for fld in lake_schema if fld.name not in set(have.names)
+    ])
+    return frag.to_table(schema=full, filter=filter,
+                         columns=_present(read_names, have.names))
+
+
+def _present(names: list[str] | None, file_names: list[str]):
+    return None if names is None else [c for c in names if c in set(file_names)]
+
+
+def _reads_url_only(filter) -> bool:
+    """Whether ``filter`` reads no column but the LWW key ``url``: it
+    binds against a table of that one column."""
+    try:
+        pa.table({"url": pa.array([], pa.string())}).filter(filter)
+    except pa.ArrowInvalid:
+        return False
+    return True
 
 
 def visible_rows(table: pa.Table) -> pa.Table:

@@ -3,8 +3,8 @@ and the change feeds all read partitions through
 ``stages.merge.read_effective_partition`` on the plain partition tasks.
 These tests pin the reads against expectations derived from
 ``lake_snapshot`` on one lake that holds every layout the reader must
-serve, and pin where the reads run: small plans build no Ray Data
-launch, plans above the store budget stream with the same rows."""
+serve, and pin where the reads run (no Ray Data launch) and which
+filters go into the parquet reads."""
 import os
 
 import pyarrow as pa
@@ -160,8 +160,8 @@ def test_feed_matches_the_snapshots(lake, preimages):
 
 
 def test_small_reads_build_no_dataset_launch(lake, monkeypatch):
-    """Under the store budget every read runs on the plain partition
-    tasks: no parquet datasource, no items source, no all-to-all."""
+    """Every read runs on the plain partition tasks: no parquet
+    datasource, no items source, no all-to-all."""
     def no_launch(*a, **k):
         raise AssertionError("a small read launched a Ray Data plan")
 
@@ -178,29 +178,6 @@ def test_small_reads_build_no_dataset_launch(lake, monkeypatch):
     assert lookup_urls(lake, urls).num_rows == 5
 
 
-def test_reads_above_the_budget_stream_the_same_rows(lake, monkeypatch):
-    small = {
-        "all": _rows(_consume(read_lake(lake))),
-        "cols": _rows(_consume(read_lake(lake, columns=["url", "language"]))),
-        "feed": _feed_rows(_consume(changes_between(lake, OLD)), False),
-    }
-    launches = []
-    real = ray.data.from_items
-
-    def counted(*a, **k):
-        launches.append(1)
-        return real(*a, **k)
-
-    monkeypatch.setattr(ray.data, "from_items", counted)
-    monkeypatch.setattr(cdc, "READ_STORE_SHARE", 0.0)
-    assert _rows(_consume(read_lake(lake))) == small["all"]
-    assert _rows(_consume(read_lake(lake, columns=["url", "language"]))
-                 ) == small["cols"]
-    assert _feed_rows(_consume(changes_between(lake, OLD)), False
-                      ) == small["feed"]
-    assert len(launches) == 3
-
-
 @pytest.fixture
 def small_lake(tmp_path):
     wal, lake_dir = str(tmp_path / "wal"), str(tmp_path / "lake")
@@ -211,38 +188,127 @@ def small_lake(tmp_path):
     return lake_dir
 
 
-def test_one_file_partitions_push_the_filter_down(small_lake, monkeypatch):
-    """A partition with no deltas takes ``filter`` into its parquet read,
-    a column its file predates reading as nulls."""
+def _regroup(lake_dir: str) -> None:
+    """Rewrite every data file of a lake in row groups of 4 rows (the
+    same rows), so that a pushed filter has groups to skip."""
     import pyarrow.parquet as pq
 
-    alter_lake(small_lake, add={"score": "float64"})
-    snap = lake_snapshot(small_lake)
+    for root, _, names in os.walk(os.path.join(lake_dir, "data")):
+        for name in names:
+            path = os.path.join(root, name)
+            pq.write_table(pq.read_table(path), path, row_group_size=4)
+
+
+def _spy_pushdown(monkeypatch) -> list:
+    """Record the filter of every fragment scan the reader pushes one
+    into (reads in this process only: read_lake's run in workers)."""
+    from data_hub_ejp_xml_pipeline_ray.stages import merge
+
     calls = []
-    real = pq.read_table
+    real = merge._PARQUET
 
-    def spy(*a, **k):
-        calls.append(k.get("filters"))
-        return real(*a, **k)
+    class Fragment:
+        def __init__(self, frag):
+            self.physical_schema = frag.physical_schema
+            self._frag = frag
 
-    monkeypatch.setattr(pq, "read_table", spy)
-    for expr in (pc.field("lang") == "en", pc.field("score").is_null(),
-                 pc.field("score") > 0):
-        got = read_lake(small_lake, filter=expr, columns=["url", "lang"])
-        assert sorted(got.take_all(), key=lambda r: r["url"]) == _rows(
-            snap.filter(expr).select(["url", "lang"]))
-    # read_lake's reads ran in workers; called here, the reader shows
-    # the filter going into the parquet read
+        def to_table(self, **k):
+            calls.append(k["filter"])
+            return self._frag.to_table(**k)
+
+    class Format:
+        def make_fragment(self, *a):
+            return Fragment(real.make_fragment(*a))
+
+    monkeypatch.setattr(merge, "_PARQUET", Format())
+    return calls
+
+
+def test_one_file_partitions_push_the_filter_down(small_lake, monkeypatch):
+    """A partition with no deltas takes ``filter`` into a fragment scan
+    of its file, whether the file holds one row group or several, a
+    column the file predates reading as nulls."""
     from data_hub_ejp_xml_pipeline_ray.stages.merge import (
         read_effective_partition,
     )
 
+    alter_lake(small_lake, add={"score": "float64"})
+    snap = lake_snapshot(small_lake)
+    exprs = (pc.field("lang") == "en", pc.field("score").is_null(),
+             pc.field("score") > 0)
     m = load_manifest(small_lake)
-    part = m.all_parts()[0]
-    t = read_effective_partition(small_lake, m.part_files(part), m.schema,
-                                 filter=pc.field("lang") == "en")
-    assert calls and t.num_rows == pc.sum(pc.equal(t.column("lang"), "en")
-                                          ).as_py()
+    rels = m.part_files(m.all_parts()[0])
+    whole = read_effective_partition(small_lake, rels, m.schema)
+    for regrouped in (False, True):
+        if regrouped:
+            _regroup(small_lake)
+        for expr in exprs:
+            got = read_lake(small_lake, filter=expr, columns=["url", "lang"])
+            assert sorted(got.take_all(), key=lambda r: r["url"]) == _rows(
+                snap.filter(expr).select(["url", "lang"]))
+    calls = _spy_pushdown(monkeypatch)
+    for expr in exprs:
+        t = read_effective_partition(small_lake, rels, m.schema, filter=expr)
+        assert calls[-1] is expr and t.equals(whole.filter(expr))
+
+
+def test_url_filters_push_into_every_file(lake, tmp_path, monkeypatch):
+    """On a partition with MOR deltas and a rename log, a filter on the
+    LWW key alone goes into every file's read and keeps the LWW
+    winners; any other filter applies after the reduction."""
+    import shutil
+
+    from data_hub_ejp_xml_pipeline_ray.stages.merge import (
+        read_effective_partition,
+        visible_rows,
+    )
+
+    m = load_manifest(lake)
+    part = max(m.all_parts(), key=lambda p: len(m.part_files(p)))
+    calls = _spy_pushdown(monkeypatch)
+    read_effective_partition(lake, m.part_files(part), m.schema,
+                             renames=m.renames, filter=cdc._any_url(["u"]))
+    assert not calls  # one-group files: cut whole-file reads, no scan
+    copy = str(tmp_path / "lake")
+    shutil.copytree(lake, copy)
+    _regroup(copy)
+    rels = m.part_files(part)
+    assert len(rels) > 1
+
+    def read(**k):
+        return visible_rows(read_effective_partition(
+            copy, rels, m.schema, renames=m.renames, **k))
+
+    whole = read()
+    urls = whole.column("url").to_pylist()[::3]
+    assert _rows(read(filter=cdc._any_url(urls))) == _rows(
+        whole.filter(pc.is_in(whole.column("url"), value_set=pa.array(urls))))
+    import pyarrow.parquet as pq
+
+    grouped = [r for r in rels if pq.ParquetFile(
+        os.path.join(copy, r)).metadata.num_row_groups > 1]
+    assert len(calls) == len(grouped) > 1
+    calls.clear()
+    expr = pc.field("language") == "en"
+    assert _rows(read(filter=expr)) == _rows(whole.filter(expr))
+    assert not calls
+    assert lookup_urls(copy, urls).equals(lookup_urls(lake, urls))
+
+
+def test_url_predicate_prunes_row_groups(tmp_path):
+    """The lookup's url predicate is one pyarrow's row-group statistics
+    prune on: on a url-sorted file only the row groups holding the
+    urls are read."""
+    import pyarrow.dataset as ds
+    import pyarrow.parquet as pq
+
+    path = str(tmp_path / "sorted.parquet")
+    urls = [f"http://site.example/{i:05d}" for i in range(1000)]
+    pq.write_table(pa.table({"url": urls}), path, row_group_size=100)
+    frag = next(ds.dataset(path).get_fragments())
+    pred = cdc._any_url([urls[5], urls[7], urls[950], "http://absent/"])
+    assert [rg.id for rg in frag.subset(filter=pred).row_groups] == [0, 9]
+    assert frag.to_table(filter=pred).num_rows == 3
 
 
 def test_feed_diffs_only_changed_partitions(small_lake):
@@ -306,7 +372,37 @@ def test_lookup_on_objstore_matches_posix(tmp_path, monkeypatch):
     def no_dataset(*a, **k):
         raise AssertionError("a lookup built a parquet dataset")
 
-    # one whole-object GET per file, no per-file filtered dataset
+    # one whole-object GET per routed file, no per-file parquet dataset
+    from data_hub_ejp_xml_pipeline_ray.state.iofs import S3_STORE
+
+    gets = []
+    real_get = S3_STORE.get_bytes
+
+    def counted(path):
+        gets.append(path)
+        return real_get(path)
+
     monkeypatch.setattr(pq, "read_table", no_dataset)
+    monkeypatch.setattr(S3_STORE, "get_bytes", counted)
     got = lookup_urls(lakes[0], urls)
     assert want.num_rows == len(urls) and got.equals(want)
+    m = load_manifest(lakes[0])
+    files = {f"{lakes[0]}/{rel}" for p in m.all_parts()
+             for rel in m.part_files(p)}
+    data_gets = [g for g in gets if g.endswith(".parquet")]
+    assert data_gets and set(data_gets) <= files
+    assert len(data_gets) == len(set(data_gets))
+
+    # files of several row groups take the fragment scan, on an object
+    # fetched whole (the lookup) and through ranged reads (read_lake's
+    # column-pruned reads)
+    monkeypatch.undo()
+    for path in files:
+        buf = pa.BufferOutputStream()
+        pq.write_table(pq.read_table(pa.BufferReader(real_get(path))), buf,
+                       row_group_size=4)
+        S3_STORE.put_atomic(path, buf.getvalue().to_pybytes())
+    assert lookup_urls(lakes[0], urls).equals(want)
+    routed = read_lake(lakes[0], columns=["url", "seq"],
+                       constraints=[["url", "in", urls]])
+    assert _rows(_consume(routed)) == _rows(want.select(["url", "seq"]))
